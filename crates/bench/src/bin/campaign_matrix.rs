@@ -3,19 +3,9 @@
 //! coverage/detection matrix (the paper's safety argument over the full
 //! Rodinia suite, extended along the NMR replica axis).
 //!
-//! ```text
-//! campaign_matrix [--trials N] [--seed S] [--workloads a,b,c]
-//!                 [--policies srrs,half,slice,slice-skewed,default]
-//!                 [--faults transient,droop,permanent,misroute]
-//!                 [--replicas 2,3] [--pipelines ad_pipeline,sensor_fusion]
-//!                 [--pipeline-trials N] [--exec overlapped,serial]
-//!                 [--frames N] [--limp-trials N]
-//!                 [--wide-replicas 5] [--wide-trials N]
-//!                 [--core event|stepping|stepping,event]
-//!                 [--checkpoint] [--assert-srrs-clean]
-//!                 [--full-scale] [--check-serial] [--csv] [--json PATH]
-//!                 [--progress] [--quiet] [--trace-out PATH]
-//! ```
+//! `campaign_matrix --help` prints the flags. List values are
+//! comma-separated; an empty list or item is rejected, except
+//! `--wide-replicas ''`, which turns the wide-device cells off.
 //!
 //! `--progress` renders a live cell-granularity progress line (with each
 //! completed cell's wall time) to stderr and prints a per-cell wall-time
@@ -73,6 +63,21 @@ use higpu_sim::gpu::Gpu;
 use higpu_telemetry::{ChromeTrace, EventKind};
 use higpu_workloads::Scale;
 use std::process::ExitCode;
+
+/// The `--help` text.
+const USAGE: &str = "\
+usage: campaign_matrix [--trials N] [--seed S] [--workloads a,b,c]
+                       [--policies srrs,half,slice,slice-skewed,default]
+                       [--faults transient,droop,permanent,misroute]
+                       [--replicas 2,3] [--pipelines ad_pipeline,sensor_fusion]
+                       [--pipeline-trials N] [--exec overlapped,serial]
+                       [--frames N] [--limp-trials N]
+                       [--wide-replicas 5] [--wide-trials N]
+                       [--core event|stepping|stepping,event]
+                       [--checkpoint] [--assert-srrs-clean]
+                       [--full-scale] [--check-serial] [--csv] [--json PATH]
+                       [--progress] [--quiet] [--trace-out PATH] [--help]
+";
 
 fn parse_core(s: &str) -> Result<CoreKind, String> {
     match s.trim().to_ascii_lowercase().as_str() {
@@ -135,6 +140,14 @@ fn parse_args() -> Result<Options, String> {
             args.next()
                 .ok_or_else(|| format!("missing value for {name}"))
         };
+        // A comma-separated value; an empty list or item is a typo.
+        let list = |v: String| -> Result<Vec<String>, String> {
+            let items: Vec<String> = v.split(',').map(|s| s.trim().to_string()).collect();
+            if items.iter().any(String::is_empty) {
+                return Err(format!("{flag}: empty item in '{v}'"));
+            }
+            Ok(items)
+        };
         match flag.as_str() {
             "--trials" => {
                 opts.cfg.trials = value("--trials")?
@@ -146,40 +159,26 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?;
             }
-            "--workloads" => {
-                opts.cfg.workloads = value("--workloads")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
+            "--workloads" => opts.cfg.workloads = list(value("--workloads")?)?,
             "--policies" => {
-                opts.cfg.policies = value("--policies")?
-                    .split(',')
-                    .map(parse_policy)
+                opts.cfg.policies = list(value("--policies")?)?
+                    .iter()
+                    .map(|s| parse_policy(s))
                     .collect::<Result<_, _>>()?;
             }
             "--faults" => {
-                opts.cfg.faults = value("--faults")?
-                    .split(',')
-                    .map(parse_fault)
+                opts.cfg.faults = list(value("--faults")?)?
+                    .iter()
+                    .map(|s| parse_fault(s))
                     .collect::<Result<_, _>>()?;
             }
             "--replicas" => {
-                opts.cfg.replica_counts = value("--replicas")?
-                    .split(',')
-                    .map(|r| {
-                        r.trim()
-                            .parse::<u8>()
-                            .map_err(|e| format!("--replicas: {e}"))
-                    })
+                opts.cfg.replica_counts = list(value("--replicas")?)?
+                    .iter()
+                    .map(|r| r.parse::<u8>().map_err(|e| format!("--replicas: {e}")))
                     .collect::<Result<_, _>>()?;
             }
-            "--pipelines" => {
-                opts.cfg.pipelines = value("--pipelines")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
+            "--pipelines" => opts.cfg.pipelines = list(value("--pipelines")?)?,
             "--pipeline-trials" => {
                 opts.cfg.pipeline_trials = Some(
                     value("--pipeline-trials")?
@@ -188,8 +187,8 @@ fn parse_args() -> Result<Options, String> {
                 );
             }
             "--exec" => {
-                opts.cfg.pipeline_exec = value("--exec")?
-                    .split(',')
+                opts.cfg.pipeline_exec = list(value("--exec")?)?
+                    .iter()
                     .map(|s| {
                         ExecMode::parse(s)
                             .ok_or_else(|| format!("unknown executor '{s}' (overlapped|serial)"))
@@ -227,13 +226,10 @@ fn parse_args() -> Result<Options, String> {
                 );
             }
             "--core" => {
-                opts.cores = value("--core")?
-                    .split(',')
-                    .map(parse_core)
+                opts.cores = list(value("--core")?)?
+                    .iter()
+                    .map(|s| parse_core(s))
                     .collect::<Result<_, _>>()?;
-                if opts.cores.is_empty() {
-                    return Err("--core: expected at least one core".to_string());
-                }
             }
             "--checkpoint" => opts.cfg.checkpoint = Some(CheckpointConfig::default()),
             "--assert-srrs-clean" => opts.assert_srrs_clean = true,
@@ -382,10 +378,14 @@ fn record_trace(path: &str, seed: u64) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let mut opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("campaign_matrix: {e}");
+            eprintln!("campaign_matrix: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };

@@ -1030,9 +1030,11 @@ fn solo_makespan_on(
                 higpu_core::redundancy::RedundancyError::Sim(err)
             }
             higpu_workloads::SessionError::Redundancy(err) => err,
-            // Solo sessions have one replica; mismatches cannot occur.
-            higpu_workloads::SessionError::ReplicaMismatch { .. } => {
-                unreachable!("solo runs cannot mismatch")
+            // Solo sessions have one replica and run fault-free: neither a
+            // mismatch nor corrupted read-back data can occur.
+            higpu_workloads::SessionError::ReplicaMismatch { .. }
+            | higpu_workloads::SessionError::Implausible { .. } => {
+                unreachable!("fault-free solo runs cannot mismatch or read back implausible data")
             }
         })
     })?;

@@ -492,6 +492,11 @@ pub fn watchdog_deadline(fault_free_makespan: u64) -> u64 {
 /// Permanent-SM and scheduler-misroute models are never trivial here: their
 /// effect is not bounded by an arm window in the same way (quarantine and
 /// diversity analysis still run), so they always simulate.
+///
+/// This is the static special case of the inert-fault early exit (README,
+/// *Inert-fault early exit*): a window that closes before the makespan
+/// without corrupting anything stops the simulation at its end instead
+/// ([`CampaignRunner::run_trial_observed_with_makespan`]).
 pub fn trivially_not_activated(
     model: FaultModel,
     fault_free_makespan: u64,
@@ -742,7 +747,10 @@ impl CampaignRunner {
     /// `reference` is given) and returns the outcome together with its
     /// cycle-domain [`TrialObservables`]. The outcome is exactly what the
     /// convenience wrappers return; the observables feed
-    /// [`CampaignTelemetry`] and are pure simulated state.
+    /// [`CampaignTelemetry`] and are pure simulated state. Every trial is
+    /// simulated in full (no inert-fault exit), so this is the oracle
+    /// [`CampaignRunner::run_trial_observed_with_makespan`] is fenced
+    /// against.
     ///
     /// # Errors
     ///
@@ -755,6 +763,20 @@ impl CampaignRunner {
         deadline: Option<u64>,
         reference: Option<&ReferenceRun>,
     ) -> Result<(TrialOutcome, TrialObservables), RedundancyError> {
+        self.run_trial_cut(mode, workload, model, deadline, reference, None)
+    }
+
+    /// [`CampaignRunner::run_trial_observed`] with the device's inert-fault
+    /// cutoff armed at `inert_cutoff` ([`Gpu::set_inert_cutoff`]).
+    fn run_trial_cut(
+        &mut self,
+        mode: &RedundancyMode,
+        workload: &dyn RedundantWorkload,
+        model: FaultModel,
+        deadline: Option<u64>,
+        reference: Option<&ReferenceRun>,
+        inert_cutoff: Option<u64>,
+    ) -> Result<(TrialOutcome, TrialObservables), RedundancyError> {
         // A trial that errored mid-flight (e.g. a watchdog cutoff) leaves
         // the device non-idle; discard the dead in-flight work and rewind
         // in place — reconstructing the multi-MB image would reintroduce
@@ -764,6 +786,7 @@ impl CampaignRunner {
         }
         let gpu = &mut self.gpu;
         gpu.set_cycle_limit(deadline);
+        gpu.set_inert_cutoff(inert_cutoff);
         let counters = InjectionCounters::shared();
         gpu.set_fault_hook(Box::new(FaultInjector::new(model, counters.clone())));
         let fault_sm = match model {
@@ -857,14 +880,25 @@ impl CampaignRunner {
         Ok((outcome, obs))
     }
 
-    /// [`CampaignRunner::run_trial_observed`] behind the trivial-trial fast
-    /// path: a model that [`trivially_not_activated`] proves inert for
-    /// `fault_free_makespan` classifies [`TrialOutcome::NotActivated`] with
-    /// synthesized observables and **no simulation at all** (no device
-    /// reset, no replica runs, no replay); every other model runs the full
-    /// trial. Campaign engines call this with the makespan of their
-    /// reference pass — outcome and observables are bit-identical to the
-    /// simulated trial of the same model.
+    /// [`CampaignRunner::run_trial_observed`] behind the two campaign fast
+    /// paths keyed to `fault_free_makespan`, the makespan of the campaign's
+    /// reference pass:
+    ///
+    /// * a model that [`trivially_not_activated`] proves inert classifies
+    ///   [`TrialOutcome::NotActivated`] with synthesized observables and
+    ///   **no simulation at all** (no device reset, no replica runs, no
+    ///   replay);
+    /// * a transient or droop model is simulated only until its window
+    ///   closes ([`FaultModel::window_end`]). If nothing was corrupted by
+    ///   then, the rest of the run is the fault-free reference, so the trial
+    ///   stops there (the inert-fault early exit) and classifies
+    ///   `NotActivated` with the same synthesized observables, plus the
+    ///   snapshot restores it performed before the cutoff.
+    ///
+    /// Both need a watchdog no tighter than the fault-free makespan, which
+    /// would otherwise cut the reference run itself. Outcome and observables
+    /// are bit-identical to the simulated trial of the same model;
+    /// [`CampaignRunner::perf`] counts only the work actually simulated.
     ///
     /// # Errors
     ///
@@ -884,7 +918,20 @@ impl CampaignRunner {
                 trivial_observables(model, fault_free_makespan),
             ));
         }
-        self.run_trial_observed(mode, workload, model, deadline, reference)
+        let cutoff = model
+            .window_end()
+            .filter(|_| deadline.is_none_or(|d| fault_free_makespan <= d));
+        match self.run_trial_cut(mode, workload, model, deadline, reference, cutoff) {
+            Err(RedundancyError::Sim(SimError::InertFault { .. })) => Ok((
+                TrialOutcome::NotActivated,
+                TrialObservables {
+                    restores: self.gpu.restore_count(),
+                    restore_skipped_cycles: self.gpu.restore_skipped_cycles(),
+                    ..trivial_observables(model, fault_free_makespan)
+                },
+            )),
+            trial => trial,
+        }
     }
 }
 

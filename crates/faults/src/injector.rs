@@ -90,6 +90,10 @@ impl FaultHook for FaultInjector {
         }
         chosen_sm
     }
+
+    fn influenced(&self) -> bool {
+        self.counters.activated()
+    }
 }
 
 #[cfg(test)]

@@ -93,6 +93,23 @@ impl FaultModel {
         }
     }
 
+    /// The first cycle at which this model can no longer corrupt anything:
+    /// the exclusive end of a transient or droop window (saturating).
+    /// `None` for permanent faults and misroutes, whose effect never
+    /// expires. A trial whose window closed without a corruption is
+    /// fault-free from here on — the campaign runners' inert-fault exit.
+    pub fn window_end(&self) -> Option<u64> {
+        match *self {
+            FaultModel::TransientSm {
+                start, duration, ..
+            }
+            | FaultModel::VoltageDroop {
+                start, duration, ..
+            } => Some(start.saturating_add(duration)),
+            FaultModel::PermanentSm { .. } | FaultModel::SchedulerMisroute { .. } => None,
+        }
+    }
+
     /// The bit this model flips in corrupted values (0 for misroutes).
     pub fn bit(&self) -> u8 {
         match *self {

@@ -98,14 +98,18 @@ pub fn classify_redundant_run(
         }
         Err(SessionError::Sim(e)) => Err(RedundancyError::Sim(e)),
         Err(SessionError::Redundancy(e)) => Err(e),
-        // Tolerant sessions never surface this; treat it as detected-and-
-        // wrong if a custom workload raises it anyway.
-        Err(SessionError::ReplicaMismatch { .. }) => Ok(WorkloadVerdict {
-            matched: false,
-            correct: false,
-            fully_voted: false,
-            corrected: false,
-        }),
+        // A host plausibility check that rejected read-back data is a real
+        // safety mechanism catching the corruption: detected-and-wrong.
+        // Tolerant sessions never surface a mismatch; treat one the same if
+        // a custom workload raises it anyway.
+        Err(SessionError::Implausible { .. } | SessionError::ReplicaMismatch { .. }) => {
+            Ok(WorkloadVerdict {
+                matched: false,
+                correct: false,
+                fully_voted: false,
+                corrected: false,
+            })
+        }
     }
 }
 

@@ -28,17 +28,18 @@ use crate::graph::{Pipeline, PipelineRegistry};
 use crate::limp::{run_limp_home, FrameStatus, LimpHomeReport};
 use higpu_core::diversity::{analyze, DiversityRequirements};
 use higpu_core::policy::PolicyKind;
-use higpu_core::redundancy::RedundancyMode;
+use higpu_core::redundancy::{RedundancyError, RedundancyMode};
 use higpu_core::safety_case::DetectionEvidence;
 use higpu_faults::campaign::{
     claim_chunk, draw_models, policy_mode, CampaignConfig, CampaignError, FaultSpec,
 };
 use higpu_faults::injector::{FaultInjector, InjectionCounters};
 use higpu_faults::model::FaultModel;
-use higpu_sim::gpu::Gpu;
-use higpu_workloads::Scale;
+use higpu_sim::gpu::{Gpu, SimError};
+use higpu_workloads::{Scale, SessionError};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One cell of a pipeline campaign sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -458,7 +459,9 @@ impl PipelineCampaignRunner {
     /// Runs one pipeline injection trial; returns the classified outcome
     /// and the frame record. Pure function of `(cfg.gpu, pipeline, mode,
     /// plan, opts, fault family, model)` — independent of previous trials
-    /// and of which runner executes it.
+    /// and of which runner executes it. A transient or droop frame whose
+    /// window closed without a corruption stops there and returns
+    /// `NotActivated` with an empty run record (no timings, no outputs).
     ///
     /// # Errors
     ///
@@ -472,13 +475,16 @@ impl PipelineCampaignRunner {
         misroute: bool,
         model: FaultModel,
     ) -> Result<(PipelineTrialOutcome, PipelineRun), PipelineError> {
-        if self.gpu.reset().is_err() {
-            self.gpu.force_reset();
-        }
-        let counters = InjectionCounters::shared();
-        self.gpu
-            .set_fault_hook(Box::new(FaultInjector::new(model, counters.clone())));
-        let run = run_pipeline(&mut self.gpu, pipeline, mode, frame_plan, opts)?;
+        let counters = self.arm(model);
+        let run = match run_pipeline(&mut self.gpu, pipeline, mode, frame_plan, opts) {
+            Err(e) if is_inert_exit(&e) => {
+                return Ok((
+                    PipelineTrialOutcome::NotActivated,
+                    PipelineRun::new(pipeline.len(), 0),
+                ))
+            }
+            run => run?,
+        };
         // A misrouted frame is functionally silent; the deployed detectors
         // are the inter-stage scheduler BIST plus the diversity monitor
         // over the frame's trace (mirroring the workload-level path).
@@ -494,7 +500,9 @@ impl PipelineCampaignRunner {
     /// mission level — [`PipelineTrialOutcome::Quarantined`] when an SM
     /// was convicted and every later frame limped home inside its
     /// re-planned FTTI, [`PipelineTrialOutcome::LimpHomeMiss`] when the
-    /// contract broke after a conviction.
+    /// contract broke after a conviction. A transient or droop mission
+    /// whose window closed without a corruption stops there and returns
+    /// `NotActivated` with an empty report.
     ///
     /// # Errors
     ///
@@ -508,23 +516,57 @@ impl PipelineCampaignRunner {
         frames: u32,
         model: FaultModel,
     ) -> Result<(PipelineTrialOutcome, LimpHomeReport), PipelineError> {
-        if self.gpu.reset().is_err() {
-            self.gpu.force_reset();
-        }
-        let counters = InjectionCounters::shared();
-        self.gpu
-            .set_fault_hook(Box::new(FaultInjector::new(model, counters.clone())));
-        let rep = run_limp_home(
+        let counters = self.arm(model);
+        let rep = match run_limp_home(
             &mut self.gpu,
             pipeline,
             mode,
             frame_plan,
             opts,
             frames as usize,
-        )?;
+        ) {
+            Err(e) if is_inert_exit(&e) => {
+                return Ok((
+                    PipelineTrialOutcome::NotActivated,
+                    LimpHomeReport::default(),
+                ))
+            }
+            rep => rep?,
+        };
         let outcome = classify_limp(pipeline, &rep, counters.activated());
         Ok((outcome, rep))
     }
+
+    /// Rewinds the device, installs `model`'s injector and arms the
+    /// inert-fault cutoff at the model's window end (see the README's
+    /// *Inert-fault early exit*). A mission or frame that reaches it without
+    /// a corruption is the fault-free one from there on, and a fault-free
+    /// frame runs inside its calibrated budgets: it misses no deadline,
+    /// retries nothing and convicts no SM. So an exited trial is
+    /// `NotActivated` with an empty record that adds nothing to the counts
+    /// (fenced by `crates/pipeline/tests/inert_exit.rs` against full runs).
+    fn arm(&mut self, model: FaultModel) -> Arc<InjectionCounters> {
+        if self.gpu.reset().is_err() {
+            self.gpu.force_reset();
+        }
+        let counters = InjectionCounters::shared();
+        self.gpu
+            .set_fault_hook(Box::new(FaultInjector::new(model, counters.clone())));
+        self.gpu.set_inert_cutoff(model.window_end());
+        counters
+    }
+}
+
+/// True when a frame or mission stopped at its fault's inert cutoff,
+/// whichever executor layer the error surfaced through.
+fn is_inert_exit(e: &PipelineError) -> bool {
+    matches!(
+        e,
+        PipelineError::Session(
+            SessionError::Sim(SimError::InertFault { .. })
+                | SessionError::Redundancy(RedundancyError::Sim(SimError::InertFault { .. }))
+        )
+    )
 }
 
 /// Classifies a limp-home mission: the oracle checks every delivered

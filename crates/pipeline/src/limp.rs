@@ -92,8 +92,10 @@ impl FrameRecord {
     }
 }
 
-/// The outcome of a multi-frame limp-home mission.
-#[derive(Debug, Clone, PartialEq)]
+/// The outcome of a multi-frame limp-home mission. The empty (`Default`)
+/// report is what a campaign mission cut short by the inert-fault exit
+/// returns: no frames, nothing quarantined.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LimpHomeReport {
     /// Every frame, in order.
     pub frames: Vec<FrameRecord>,

@@ -113,14 +113,29 @@ impl Kmeans {
         }
     }
 
-    fn cpu_update(&self, pts: &[f32], membership: &[u32], cents: &mut [f32]) {
+    /// Host-side centroid update. In `run` the memberships come
+    /// back from the device, where a fault can corrupt a cluster id past
+    /// `k`: such an id is rejected as implausible, not used as an index.
+    fn cpu_update(
+        &self,
+        pts: &[f32],
+        membership: &[u32],
+        cents: &mut [f32],
+    ) -> Result<(), SessionError> {
         let f = self.features as usize;
         let mut counts = vec![0u32; self.k as usize];
         let mut sums = vec![0.0f32; self.k as usize * f];
         for (i, &m) in membership.iter().enumerate() {
-            counts[m as usize] += 1;
+            if m >= self.k {
+                return Err(SessionError::Implausible {
+                    what: "kmeans cluster id",
+                    value: u64::from(m),
+                });
+            }
+            let m = m as usize;
+            counts[m] += 1;
             for j in 0..f {
-                sums[m as usize * f + j] += pts[i * f + j];
+                sums[m * f + j] += pts[i * f + j];
             }
         }
         for c in 0..self.k as usize {
@@ -130,6 +145,7 @@ impl Kmeans {
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -167,7 +183,7 @@ impl Benchmark for Kmeans {
             )?;
             membership = s.read_u32(m_b, self.points as usize)?;
             // Host-side centroid update (as in Rodinia).
-            self.cpu_update(&pts, &membership, &mut cents);
+            self.cpu_update(&pts, &membership, &mut cents)?;
         }
         Ok(membership)
     }
@@ -178,7 +194,8 @@ impl Benchmark for Kmeans {
         let mut membership = vec![0u32; self.points as usize];
         for _ in 0..self.iterations {
             self.cpu_assign(&pts, &cents, &mut membership);
-            self.cpu_update(&pts, &membership, &mut cents);
+            self.cpu_update(&pts, &membership, &mut cents)
+                .expect("CPU assignments are valid cluster ids");
         }
         membership
     }

@@ -60,6 +60,15 @@ pub enum SessionError {
         /// Word index of the first disagreement.
         first_word: usize,
     },
+    /// The host program rejected a value read back from the device as
+    /// outside its legal range: a host-side plausibility check caught
+    /// corrupted data (campaigns classify it as a detection).
+    Implausible {
+        /// What was checked.
+        what: &'static str,
+        /// The offending value.
+        value: u64,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -69,6 +78,9 @@ impl fmt::Display for SessionError {
             SessionError::Redundancy(e) => write!(f, "redundancy error: {e}"),
             SessionError::ReplicaMismatch { first_word } => {
                 write!(f, "replica mismatch at word {first_word}")
+            }
+            SessionError::Implausible { what, value } => {
+                write!(f, "implausible {what} {value} read back from the device")
             }
         }
     }

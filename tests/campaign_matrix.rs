@@ -66,6 +66,31 @@ fn matrix_over_rodinia_suite_is_bit_identical_to_serial_reference() {
     }
 }
 
+/// Regression for `campaign_matrix --workloads kmeans --trials 40 --seed 1`,
+/// which used to abort: a fault-corrupted cluster id read back from the
+/// device indexed the host's centroid update out of bounds and panicked a
+/// campaign worker. The host now rejects the id as implausible, which the
+/// campaign counts as a detection.
+#[test]
+fn kmeans_corrupted_cluster_ids_are_detected_not_panics() {
+    let reg = full_registry();
+    let cfg = MatrixConfig {
+        trials: 40,
+        seed: 1,
+        workloads: vec!["kmeans".to_string()],
+        ..MatrixConfig::default()
+    };
+    let m = run_matrix(&reg, &cfg).expect("the sweep completes");
+    assert!(!m.reports.is_empty());
+    for r in m.reports.iter().chain(&m.wide_reports) {
+        assert_eq!(
+            r.trials,
+            r.not_activated + r.masked + r.detected + r.corrected + r.undetected,
+            "every trial classified: {r:?}"
+        );
+    }
+}
+
 /// The NMR bit-identity fence: campaigns at three replicas, across six
 /// Rodinia workloads under both N-capable diverse policies (SRRS and
 /// SLICE), must produce parallel reports bit-identical to the serial

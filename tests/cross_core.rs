@@ -12,7 +12,8 @@
 
 use higpu_bench::matrix::full_registry;
 use higpu_sim::config::{CoreKind, GpuConfig};
-use higpu_sim::gpu::{DevPtr, DeviceSnapshot, Gpu};
+use higpu_sim::fault::{FaultCtx, FaultHook};
+use higpu_sim::gpu::{DevPtr, DeviceSnapshot, Gpu, SimError};
 use higpu_sim::kernel::{Dim3, KernelLaunch, LaunchConfig};
 use higpu_sim::program::Program;
 use higpu_sim::sm::IssueRecord;
@@ -323,6 +324,63 @@ fn mid_run_snapshot_restores_bit_identically_on_both_cores() {
                 "{name}: restored {core:?} stats diverged"
             );
         }
+    }
+}
+
+/// A hook that never influences the run: the inert cutoff always fires.
+struct Inert;
+
+impl FaultHook for Inert {
+    fn armed(&self, _ctx: &FaultCtx) -> bool {
+        false
+    }
+
+    fn influenced(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn inert_cutoff_fires_at_the_same_cycle_on_both_cores() {
+    // The early-exit contract across cores: with the cutoff armed mid-run,
+    // both cores stop at the same cycle with identical issue logs, so an
+    // exited trial is core-independent like every other trial.
+    let reg = full_registry();
+    for name in reg.names() {
+        let makespan = run_on_core(&reg, name, CoreKind::Event)
+            .trace
+            .makespan()
+            .unwrap_or(0);
+        let cutoff = makespan / 2;
+        let mut cuts = Vec::new();
+        for core in [CoreKind::Stepping, CoreKind::Event] {
+            let mut gpu = Gpu::new(GpuConfig {
+                core,
+                ..GpuConfig::default()
+            });
+            gpu.set_issue_log(true);
+            gpu.set_fault_hook(Box::new(Inert));
+            gpu.set_inert_cutoff(Some(cutoff));
+            let workload = reg
+                .build(name, Scale::Campaign)
+                .unwrap_or_else(|| panic!("workload '{name}' not in registry"));
+            let err = workload
+                .run(&mut SoloSession::new(&mut gpu))
+                .expect_err("the cutoff precedes the makespan");
+            let SessionError::Sim(SimError::InertFault { cycle }) = err else {
+                panic!("{name} on {core:?}: expected an inert exit, got {err:?}");
+            };
+            assert!(
+                (cutoff..=makespan).contains(&cycle),
+                "{name} on {core:?}: exit at {cycle} outside [{cutoff}, {makespan}]"
+            );
+            cuts.push((cycle, gpu.drain_issue_log()));
+        }
+        assert_eq!(
+            cuts[0].0, cuts[1].0,
+            "{name}: the cutoff fired at different cycles on the two cores"
+        );
+        assert_logs_identical(name, &cuts[0].1, &cuts[1].1);
     }
 }
 
