@@ -385,10 +385,8 @@ fn time_trials(
     let t0 = Instant::now();
     let mut outcomes = Vec::with_capacity(models.len());
     for &model in models {
-        outcomes.push(match reference {
-            Some(r) => runner.run_trial_checkpointed(mode, workload, model, deadline, r)?,
-            None => runner.run_trial_with_deadline(mode, workload, model, deadline)?,
-        });
+        let (outcome, _) = runner.run_trial_observed(mode, workload, model, deadline, reference)?;
+        outcomes.push(outcome);
     }
     Ok((outcomes, t0.elapsed().as_secs_f64()))
 }

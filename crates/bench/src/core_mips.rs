@@ -222,9 +222,9 @@ pub fn measure_core_mips(reg: &WorkloadRegistry, runs: u32, repeats: u32) -> Cor
 
 impl CoreMipsResult {
     /// Workloads where the default (event) core measured slower than the
-    /// stepping oracle — the short-kernel regression the adaptive flat/wheel
-    /// dispatch exists to prevent. Timing-noise tolerant callers should
-    /// treat a persistent non-empty result as a core-selection bug.
+    /// stepping oracle — the short-kernel regression the event loop's fused
+    /// wake pass exists to prevent. Timing-noise tolerant callers should
+    /// treat a persistent non-empty result as an event-core regression.
     pub fn event_regressions(&self) -> Vec<&str> {
         self.samples
             .iter()

@@ -253,6 +253,28 @@ mod tests {
     }
 
     #[test]
+    fn composition_algebra_holds_exhaustively() {
+        let all = [Asil::QM, Asil::A, Asil::B, Asil::C, Asil::D];
+        for a in all {
+            for b in all {
+                let ab = a.compose_independent(b);
+                assert_eq!(ab, b.compose_independent(a), "{a}+{b} commutes");
+                assert!(ab >= a, "redundancy never lowers integrity: {a}+{b}");
+                for c in all.into_iter().filter(|&c| c <= b) {
+                    assert!(
+                        ab >= a.compose_independent(c),
+                        "monotone: {a}+{b} vs {a}+{c}"
+                    );
+                }
+            }
+            for (l, r) in a.decompositions() {
+                assert_eq!(l.compose_independent(r), a, "{l}+{r} must reach {a}");
+                assert!(l >= r, "pairs are ordered");
+            }
+        }
+    }
+
+    #[test]
     fn redundant_without_independence_gets_no_credit() {
         let arch = Architecture::Redundant {
             a: Box::new(single(Asil::B)),

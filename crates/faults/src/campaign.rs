@@ -48,8 +48,10 @@ use higpu_telemetry::{CycleHistogram, EventKind, NO_SM};
 use higpu_workloads::{Scale, WorkloadRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::any::Any;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Family of faults a campaign injects; per-trial parameters (time, SM,
 /// bit) are drawn from the campaign RNG.
@@ -461,15 +463,6 @@ pub fn ftti_deadline(fault_free_makespan: u64, ftti_multiplier: u64) -> u64 {
     higpu_core::ftti::deadline(fault_free_makespan, ftti_multiplier)
 }
 
-/// The historical flat watchdog budget: [`ftti_deadline`] at the default
-/// FTTI multiplier. Campaign engines now use the per-workload form.
-pub fn watchdog_deadline(fault_free_makespan: u64) -> u64 {
-    ftti_deadline(
-        fault_free_makespan,
-        higpu_workloads::DEFAULT_FTTI_MULTIPLIER,
-    )
-}
-
 /// True when `model` provably cannot activate in a run whose fault-free
 /// makespan is `fault_free_makespan` — the campaign-level trivial-trial
 /// fast path: such a trial classifies [`TrialOutcome::NotActivated`]
@@ -680,81 +673,28 @@ impl CampaignRunner {
         &mut self.gpu
     }
 
-    /// Runs one injection trial of `model`; returns the outcome.
+    /// Runs one injection trial of `model` and returns the outcome together
+    /// with its cycle-domain [`TrialObservables`] (pure simulated state that
+    /// feeds [`CampaignTelemetry`]).
     ///
-    /// The trial result is a pure function of `(cfg.gpu, mode, workload,
-    /// model)` — independent of previous trials on this runner and of which
-    /// runner executes it.
+    /// The trial is a pure function of `(cfg.gpu, mode, workload, model,
+    /// deadline)` — independent of previous trials on this runner and of
+    /// which runner executes it. `reference` replays only the corrupted
+    /// suffix: reference segments ending before the fault's arm cycle are
+    /// skipped by restoring their recorded snapshots (see
+    /// [`crate::checkpoint`]), bit-identically to the from-zero trial. A run
+    /// still going at `deadline` cycles is classified
+    /// [`TrialOutcome::Detected`] — the DCLS host's deadline monitor catches
+    /// the hung replica, so a timing violation is a detection, not an error.
+    /// Every trial is simulated in full (no inert-fault exit), so this is
+    /// the oracle [`CampaignRunner::run_trial_observed_with_makespan`] is
+    /// fenced against.
     ///
     /// # Errors
     ///
-    /// Propagates workload/protocol errors
+    /// Propagates workload/protocol errors other than the watchdog cutoff
     /// ([`higpu_sim::gpu::SimError::Stalled`] cannot be caused by value
     /// corruption, only by policy bugs).
-    pub fn run_trial(
-        &mut self,
-        mode: &RedundancyMode,
-        workload: &dyn RedundantWorkload,
-        model: FaultModel,
-    ) -> Result<TrialOutcome, RedundancyError> {
-        self.run_trial_with_deadline(mode, workload, model, None)
-    }
-
-    /// Like [`CampaignRunner::run_trial`], with a watchdog cycle budget: if
-    /// the corrupted run has not completed by `deadline` cycles, the trial
-    /// is classified as [`TrialOutcome::Detected`] (the DCLS host's
-    /// deadline monitor catches the hung replica — a timing violation is a
-    /// detection, not an error). Campaign engines pass
-    /// [`watchdog_deadline`] of the fault-free makespan here so no trial
-    /// can stall a campaign.
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload/protocol errors other than the watchdog cutoff.
-    pub fn run_trial_with_deadline(
-        &mut self,
-        mode: &RedundancyMode,
-        workload: &dyn RedundantWorkload,
-        model: FaultModel,
-        deadline: Option<u64>,
-    ) -> Result<TrialOutcome, RedundancyError> {
-        self.run_trial_observed(mode, workload, model, deadline, None)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// Like [`CampaignRunner::run_trial_with_deadline`], replaying only the
-    /// corrupted suffix: reference segments ending before the fault's arm
-    /// cycle are skipped by restoring their recorded snapshots (see
-    /// [`crate::checkpoint`]). The outcome is bit-identical to the
-    /// from-zero trial of the same model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload/protocol errors other than the watchdog cutoff.
-    pub fn run_trial_checkpointed(
-        &mut self,
-        mode: &RedundancyMode,
-        workload: &dyn RedundantWorkload,
-        model: FaultModel,
-        deadline: Option<u64>,
-        reference: &ReferenceRun,
-    ) -> Result<TrialOutcome, RedundancyError> {
-        self.run_trial_observed(mode, workload, model, deadline, Some(reference))
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// The general trial form: runs one injection trial (checkpointed iff
-    /// `reference` is given) and returns the outcome together with its
-    /// cycle-domain [`TrialObservables`]. The outcome is exactly what the
-    /// convenience wrappers return; the observables feed
-    /// [`CampaignTelemetry`] and are pure simulated state. Every trial is
-    /// simulated in full (no inert-fault exit), so this is the oracle
-    /// [`CampaignRunner::run_trial_observed_with_makespan`] is fenced
-    /// against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload/protocol errors other than the watchdog cutoff.
     pub fn run_trial_observed(
         &mut self,
         mode: &RedundancyMode,
@@ -935,29 +875,12 @@ impl CampaignRunner {
     }
 }
 
-/// Runs one injection trial on a freshly constructed device; returns the
-/// outcome. Convenience wrapper over [`CampaignRunner::run_trial`].
-///
-/// # Errors
-///
-/// Propagates workload/protocol errors ([`higpu_sim::gpu::SimError::Stalled`]
-/// cannot be caused by value corruption, only by policy bugs).
-pub fn run_trial(
-    cfg: &CampaignConfig,
-    mode: &RedundancyMode,
-    workload: &dyn RedundantWorkload,
-    model: FaultModel,
-) -> Result<TrialOutcome, RedundancyError> {
-    CampaignRunner::new(cfg).run_trial(mode, workload, model)
-}
-
 /// Largest chunk one claim may take — bounds the tail imbalance when one
 /// worker's trials happen to run long.
 const MAX_CLAIM: usize = 64;
 
-/// Claims the next chunk of trial indices from the shared cursor (also
-/// used by the pipeline campaign engine in `higpu_pipeline`, which mirrors
-/// this worker pool).
+/// Claims the next chunk of trial indices from the shared cursor of
+/// [`run_pool`].
 ///
 /// Guided self-scheduling: each claim takes `remaining / (2 * workers)`
 /// trials (clamped to `1..=MAX_CLAIM`), so claims are large while plenty of
@@ -966,11 +889,7 @@ const MAX_CLAIM: usize = 64;
 /// Chunking only changes *which worker* runs a trial, never the result:
 /// per-trial outcomes are order-independent counts, so the campaign report
 /// stays bit-identical at every worker count.
-pub fn claim_chunk(
-    next: &AtomicUsize,
-    total: usize,
-    workers: usize,
-) -> Option<std::ops::Range<usize>> {
+fn claim_chunk(next: &AtomicUsize, total: usize, workers: usize) -> Option<std::ops::Range<usize>> {
     loop {
         let cur = next.load(Ordering::Relaxed);
         if cur >= total {
@@ -985,6 +904,99 @@ pub fn claim_chunk(
             return Some(cur..cur + chunk);
         }
         // Lost the race; re-read the cursor and retry.
+    }
+}
+
+/// How a pooled trial failed: its error, or the payload of its panic.
+enum TrialFailure<E> {
+    Error(E),
+    Panic(Box<dyn Any + Send>),
+}
+
+/// The campaign worker pool shared by the workload and pipeline campaign
+/// engines: runs `trial(&mut worker, i)` for every trial index `i` in
+/// `0..total` and returns `finish(worker)` of every worker, for the
+/// caller's order-independent reduction.
+///
+/// `workers` is capped at `total` and raised to 1. One worker runs every
+/// trial in the calling thread, in index order; more spawn that many scoped
+/// threads that claim guided-self-scheduling chunks of indices from a
+/// shared cursor. Each worker builds its own state with `new_worker`
+/// (typically a reusable runner plus its accumulators), so the state never
+/// crosses threads.
+///
+/// # Errors
+///
+/// When trials fail, the error of the lowest-numbered failing trial is
+/// returned — at every worker count. Workers skip only trials above the
+/// lowest failure seen so far, so every trial below it still runs. A
+/// panicking trial counts as a failure at its index and is re-raised with
+/// its original payload when it is the lowest one.
+pub fn run_pool<W, A: Send, E: Send>(
+    total: usize,
+    workers: usize,
+    new_worker: impl Fn() -> W + Sync,
+    trial: impl Fn(&mut W, usize) -> Result<(), E> + Sync,
+    finish: impl Fn(W) -> A + Sync,
+) -> Result<Vec<A>, E> {
+    let workers = workers.min(total).max(1);
+    if workers == 1 {
+        let mut worker = new_worker();
+        for i in 0..total {
+            trial(&mut worker, i)?;
+        }
+        return Ok(vec![finish(worker)]);
+    }
+
+    let next = AtomicUsize::new(0);
+    // A skip hint only (failures travel back through `join`), so `Relaxed`.
+    let lowest_failed = AtomicUsize::new(usize::MAX);
+    let run_worker = || {
+        let mut worker = new_worker();
+        while let Some(range) = claim_chunk(&next, total, workers) {
+            for i in range {
+                // Claims only grow, so every later index is skippable too.
+                if i > lowest_failed.load(Ordering::Relaxed) {
+                    return Ok(finish(worker));
+                }
+                // A worker whose trial panicked returns at once and never
+                // touches its state again, so the state's unwind safety
+                // does not matter.
+                let failure = match catch_unwind(AssertUnwindSafe(|| trial(&mut worker, i))) {
+                    Ok(Ok(())) => continue,
+                    Ok(Err(e)) => TrialFailure::Error(e),
+                    Err(payload) => TrialFailure::Panic(payload),
+                };
+                lowest_failed.fetch_min(i, Ordering::Relaxed);
+                return Err((i, failure));
+            }
+        }
+        Ok(finish(worker))
+    };
+    let results: Vec<Result<A, (usize, TrialFailure<E>)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
+
+    let mut done = Vec::with_capacity(workers);
+    let mut first_failure: Option<(usize, TrialFailure<E>)> = None;
+    for r in results {
+        match r {
+            Ok(a) => done.push(a),
+            Err((i, f)) => {
+                if first_failure.as_ref().is_none_or(|(fi, _)| i < *fi) {
+                    first_failure = Some((i, f));
+                }
+            }
+        }
+    }
+    match first_failure {
+        None => Ok(done),
+        Some((_, TrialFailure::Error(e))) => Err(e),
+        Some((_, TrialFailure::Panic(payload))) => resume_unwind(payload),
     }
 }
 
@@ -1061,11 +1073,14 @@ pub fn run_campaign_serial(
             counts.add(TrialOutcome::NotActivated);
             continue;
         }
-        let mut runner = CampaignRunner::new(cfg);
-        counts.add(match &reference {
-            Some(r) => runner.run_trial_checkpointed(mode, workload, model, deadline, r)?,
-            None => runner.run_trial_with_deadline(mode, workload, model, deadline)?,
-        });
+        let (outcome, _) = CampaignRunner::new(cfg).run_trial_observed(
+            mode,
+            workload,
+            model,
+            deadline,
+            reference.as_ref(),
+        )?;
+        counts.add(outcome);
     }
     Ok(finish_report(
         empty_report(cfg, mode, spec, workload, window_end),
@@ -1095,23 +1110,6 @@ pub fn run_campaign_with_perf(
     run_campaign_engine(cfg, mode, spec, workload).map(|(report, perf, _)| (report, perf))
 }
 
-/// [`run_campaign_with_perf`] plus the campaign's [`CampaignTelemetry`].
-/// The report is untouched by the telemetry collection (same engine, same
-/// trials — telemetry is observation, not state), and the telemetry itself
-/// is bit-identical at every worker count.
-///
-/// # Errors
-///
-/// As [`run_campaign_with_perf`].
-pub fn run_campaign_with_telemetry(
-    cfg: &CampaignConfig,
-    mode: &RedundancyMode,
-    spec: FaultSpec,
-    workload: &dyn RedundantWorkload,
-) -> Result<(CampaignReport, CampaignTelemetry), RedundancyError> {
-    run_campaign_engine(cfg, mode, spec, workload).map(|(report, _, telemetry)| (report, telemetry))
-}
-
 fn run_campaign_engine(
     cfg: &CampaignConfig,
     mode: &RedundancyMode,
@@ -1123,95 +1121,35 @@ fn run_campaign_engine(
     let deadline = Some(ftti_deadline(window_end, workload.ftti_multiplier()));
     let models = draw_models(cfg, spec, window_end);
     let report = empty_report(cfg, mode, spec, workload, window_end);
-    let workers = cfg.resolved_workers().min(models.len()).max(1);
-
-    if workers == 1 {
-        // In-thread fast path: still one reusable device for all trials.
-        let mut runner = CampaignRunner::new(cfg);
-        let mut counts = OutcomeCounts::default();
-        let mut telemetry = CampaignTelemetry::default();
-        for model in models {
+    // Each worker owns one reusable device and order-independent
+    // accumulators; summing them is the deterministic reduction.
+    let parts = run_pool(
+        models.len(),
+        cfg.resolved_workers(),
+        || {
+            (
+                CampaignRunner::new(cfg),
+                OutcomeCounts::default(),
+                CampaignTelemetry::default(),
+            )
+        },
+        |(runner, counts, telemetry), i| {
             let (outcome, obs) = runner.run_trial_observed_with_makespan(
-                mode, workload, model, deadline, reference, window_end,
+                mode, workload, models[i], deadline, reference, window_end,
             )?;
             counts.add(outcome);
             telemetry.record(outcome, obs);
-        }
-        return Ok((finish_report(report, counts), runner.perf(), telemetry));
-    }
-
-    // Worker pool over pre-drawn models: a shared cursor hands out *chunks*
-    // of trial indices (guided self-scheduling, see [`claim_chunk`]) so
-    // sub-millisecond trials do not serialize on one atomic operation per
-    // trial; each worker accumulates order-independent counts. The abort
-    // flag stops surviving workers promptly once any trial errors (the run
-    // is doomed either way, so skipped trials are unobservable).
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    type WorkerOk = (OutcomeCounts, CampaignPerf, CampaignTelemetry);
-    let results: Vec<Result<WorkerOk, (usize, RedundancyError)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let models = &models;
-                let next = &next;
-                let abort = &abort;
-                scope.spawn(move || {
-                    let mut runner = CampaignRunner::new(cfg);
-                    let mut counts = OutcomeCounts::default();
-                    let mut telemetry = CampaignTelemetry::default();
-                    'claims: while !abort.load(Ordering::Relaxed) {
-                        let Some(range) = claim_chunk(next, models.len(), workers) else {
-                            break;
-                        };
-                        for i in range {
-                            if abort.load(Ordering::Relaxed) {
-                                break 'claims;
-                            }
-                            let trial = runner.run_trial_observed_with_makespan(
-                                mode, workload, models[i], deadline, reference, window_end,
-                            );
-                            match trial {
-                                Ok((outcome, obs)) => {
-                                    counts.add(outcome);
-                                    telemetry.record(outcome, obs);
-                                }
-                                Err(e) => {
-                                    abort.store(true, Ordering::Relaxed);
-                                    return Err((i, e));
-                                }
-                            }
-                        }
-                    }
-                    Ok((counts, runner.perf(), telemetry))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    });
-
+            Ok::<_, RedundancyError>(())
+        },
+        |(runner, counts, telemetry)| (counts, runner.perf(), telemetry),
+    )?;
     let mut counts = OutcomeCounts::default();
     let mut perf = CampaignPerf::default();
     let mut telemetry = CampaignTelemetry::default();
-    let mut first_error: Option<(usize, RedundancyError)> = None;
-    for r in results {
-        match r {
-            Ok((c, p, t)) => {
-                counts.merge(c);
-                perf.merge(p);
-                telemetry.merge(&t);
-            }
-            Err((i, e)) => {
-                if first_error.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                    first_error = Some((i, e));
-                }
-            }
-        }
-    }
-    if let Some((_, e)) = first_error {
-        return Err(e);
+    for (c, p, t) in parts {
+        counts.merge(c);
+        perf.merge(p);
+        telemetry.merge(&t);
     }
     Ok((finish_report(report, counts), perf, telemetry))
 }
@@ -1265,9 +1203,8 @@ pub fn run_campaign_selected_with_telemetry(
 ) -> Result<(CampaignReport, CampaignTelemetry), CampaignError> {
     let workload = spec.build_workload(reg)?;
     let mode = spec.mode(cfg.gpu.num_sms)?;
-    Ok(run_campaign_with_telemetry(
-        cfg, &mode, spec.fault, &workload,
-    )?)
+    let (report, _, telemetry) = run_campaign_engine(cfg, &mode, spec.fault, &workload)?;
+    Ok((report, telemetry))
 }
 
 /// Serial reference form of [`run_campaign_selected`] (one fresh device per
@@ -1475,11 +1412,11 @@ mod tests {
                     bit: 7,
                 },
             ] {
-                let from_zero = CampaignRunner::new(&cfg)
-                    .run_trial_with_deadline(&mode, &wl, model, deadline)
+                let (from_zero, _) = CampaignRunner::new(&cfg)
+                    .run_trial_observed(&mode, &wl, model, deadline, None)
                     .expect("from-zero trial");
-                let replayed = CampaignRunner::new(&cfg)
-                    .run_trial_checkpointed(&mode, &wl, model, deadline, &reference)
+                let (replayed, _) = CampaignRunner::new(&cfg)
+                    .run_trial_observed(&mode, &wl, model, deadline, Some(&reference))
                     .expect("checkpointed trial");
                 assert_eq!(replayed, from_zero, "arm {arm}, model {model:?}");
             }
@@ -1503,12 +1440,12 @@ mod tests {
             bit: 0,
         };
         let mut runner = CampaignRunner::new(&cfg);
-        let cut = runner
-            .run_trial_checkpointed(&mode, &wl, dormant, Some(1), &reference)
+        let (cut, _) = runner
+            .run_trial_observed(&mode, &wl, dormant, Some(1), Some(&reference))
             .expect("cutoff is a classification");
         assert_eq!(cut, TrialOutcome::Detected);
-        let free = runner
-            .run_trial_checkpointed(&mode, &wl, dormant, None, &reference)
+        let (free, _) = runner
+            .run_trial_observed(&mode, &wl, dormant, None, Some(&reference))
             .expect("runs");
         assert_eq!(free, TrialOutcome::NotActivated);
         assert!(
@@ -1545,8 +1482,12 @@ mod tests {
         let models = draw_models(&cfg, FaultSpec::Transient { duration: 400 }, window);
         let mut runner = CampaignRunner::new(&cfg);
         for (i, &model) in models.iter().enumerate() {
-            let reused = runner.run_trial(&mode, &wl, model).expect("reused");
-            let fresh = run_trial(&cfg, &mode, &wl, model).expect("fresh");
+            let reused = runner
+                .run_trial_observed(&mode, &wl, model, None, None)
+                .expect("reused");
+            let fresh = CampaignRunner::new(&cfg)
+                .run_trial_observed(&mode, &wl, model, None, None)
+                .expect("fresh");
             assert_eq!(
                 reused,
                 fresh,
@@ -1572,22 +1513,25 @@ mod tests {
             bit: 0,
         };
         let mut runner = CampaignRunner::new(&cfg);
-        let cut = runner
-            .run_trial_with_deadline(&mode, &wl, dormant, Some(1))
+        let (cut, obs) = runner
+            .run_trial_observed(&mode, &wl, dormant, Some(1), None)
             .expect("cutoff is a classification, not an error");
         assert_eq!(cut, TrialOutcome::Detected, "deadline monitor detects");
-        let free = runner.run_trial(&mode, &wl, dormant).expect("runs");
+        assert!(obs.deadline_cut);
+        let (free, _) = runner
+            .run_trial_observed(&mode, &wl, dormant, None, None)
+            .expect("runs");
         assert_eq!(free, TrialOutcome::NotActivated, "no watchdog, no fault");
     }
 
     #[test]
     fn watchdog_deadline_scales_with_makespan() {
-        assert_eq!(watchdog_deadline(0), 10_000);
-        assert_eq!(watchdog_deadline(1_000), 18_000);
-        assert_eq!(watchdog_deadline(u64::MAX), u64::MAX, "saturates");
-        // The per-workload form honors the declared multiplier and matches
-        // the historical flat budget at the default.
-        assert_eq!(ftti_deadline(1_000, 8), watchdog_deadline(1_000));
+        let default = |m| ftti_deadline(m, higpu_workloads::DEFAULT_FTTI_MULTIPLIER);
+        assert_eq!(default(0), 10_000);
+        assert_eq!(default(1_000), 18_000);
+        assert_eq!(default(u64::MAX), u64::MAX, "saturates");
+        // The budget honors the declared multiplier.
+        assert_eq!(ftti_deadline(1_000, 8), default(1_000));
         assert_eq!(ftti_deadline(1_000, 2), 12_000);
         assert_eq!(ftti_deadline(u64::MAX, 3), u64::MAX, "saturates");
     }
@@ -1686,6 +1630,96 @@ mod tests {
         let next = AtomicUsize::new(0);
         let first = claim_chunk(&next, 1_000_000, 1).expect("work");
         assert_eq!(first.len(), MAX_CLAIM);
+    }
+
+    /// Pool worker state that reports when its worker has finished.
+    struct SignalOnDrop(std::sync::mpsc::Sender<()>);
+
+    impl Drop for SignalOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
+    #[test]
+    fn pool_returns_the_lowest_failing_trial_at_every_worker_count() {
+        // Trials 3 and 6 fail. At 2 workers the first claims 0..4 and the
+        // second 4..7; trial 0 waits until the second worker has failed at
+        // trial 6 and quit, so trial 3 starts only after a higher-numbered
+        // trial's failure is recorded.
+        for workers in [1usize, 2, 8] {
+            let ran: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+            let (quit, quits) = std::sync::mpsc::channel();
+            let quits = std::sync::Mutex::new(quits);
+            let result = run_pool(
+                ran.len(),
+                workers,
+                || SignalOnDrop(quit.clone()),
+                |_, i| {
+                    ran[i].fetch_add(1, Ordering::Relaxed);
+                    if workers == 2 && i == 0 {
+                        quits
+                            .lock()
+                            .expect("unpoisoned")
+                            .recv()
+                            .expect("a worker quits");
+                    }
+                    if i == 3 || i == 6 {
+                        Err(i)
+                    } else {
+                        Ok(())
+                    }
+                },
+                |_| (),
+            );
+            assert_eq!(result, Err(3), "at {workers} workers");
+            for (i, n) in ran.iter().enumerate().take(4) {
+                assert_eq!(
+                    n.load(Ordering::Relaxed),
+                    1,
+                    "trial {i} at {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pool_reduces_every_worker_and_reraises_trial_panics() {
+        for workers in [1usize, 2, 8] {
+            let sums = run_pool(
+                100,
+                workers,
+                || 0usize,
+                |sum, i| {
+                    *sum += i;
+                    Ok::<(), ()>(())
+                },
+                |sum| sum,
+            )
+            .expect("no trial fails");
+            assert_eq!(sums.len(), workers);
+            assert_eq!(sums.iter().sum::<usize>(), 4950, "at {workers} workers");
+
+            let payload = catch_unwind(|| {
+                run_pool(
+                    20,
+                    workers,
+                    || (),
+                    |_, i| {
+                        assert!(i != 5, "trial {i} exploded");
+                        Ok::<(), ()>(())
+                    },
+                    |()| (),
+                )
+            })
+            .expect_err("the trial panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert_eq!(msg, "trial 5 exploded", "at {workers} workers");
+        }
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub mod workload;
 pub mod prelude {
     pub use crate::campaign::{
         draw_models, run_campaign, run_campaign_selected, run_campaign_selected_serial,
-        run_campaign_serial, run_campaign_with_perf, run_trial, CampaignConfig, CampaignError,
-        CampaignPerf, CampaignReport, CampaignRunner, CampaignSpec, FaultSpec, TrialOutcome,
+        run_campaign_serial, run_campaign_with_perf, CampaignConfig, CampaignError, CampaignPerf,
+        CampaignReport, CampaignRunner, CampaignSpec, FaultSpec, TrialOutcome,
     };
     pub use crate::checkpoint::{record_reference, CheckpointConfig, ReferenceRun};
     pub use crate::injector::{FaultInjector, InjectionCounters};

@@ -15,15 +15,13 @@
 //!   at 1, 2 and 8 workers is per-trial bit-identical to the unskipped
 //!   serial sweep of the same models.
 
-use higpu_core::redundancy::RedundancyMode;
+use higpu_core::redundancy::{RedundancyError, RedundancyMode};
 use higpu_faults::campaign::{
-    claim_chunk, dry_run_makespan, ftti_deadline, trivially_not_activated, CampaignConfig,
+    dry_run_makespan, ftti_deadline, run_pool, trivially_not_activated, CampaignConfig,
     CampaignRunner, TrialObservables, TrialOutcome,
 };
 use higpu_faults::model::FaultModel;
 use higpu_faults::workload::{IteratedFma, RedundantWorkload};
-use std::sync::atomic::AtomicUsize;
-use std::sync::Mutex;
 
 fn workload() -> IteratedFma {
     IteratedFma {
@@ -137,8 +135,8 @@ fn skipped_trial_matches_the_simulated_one_at_the_boundary() {
 }
 
 /// Runs `models` through the fast-path-aware runner entry point on
-/// `workers` threads using the campaign engines' chunk-claiming loop;
-/// returns per-trial `(outcome, observables)` indexed by trial.
+/// `workers` threads using the campaign engines' worker pool; returns
+/// per-trial `(outcome, observables)` indexed by trial.
 fn sweep(
     cfg: &CampaignConfig,
     models: &[FaultModel],
@@ -148,29 +146,25 @@ fn sweep(
     let wl = workload();
     let mode = mode();
     let deadline = Some(ftti_deadline(makespan, wl.ftti_multiplier()));
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<(TrialOutcome, TrialObservables)>>> =
-        Mutex::new(vec![None; models.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut runner = CampaignRunner::new(cfg);
-                while let Some(range) = claim_chunk(&next, models.len(), workers) {
-                    for i in range {
-                        let trial = runner
-                            .run_trial_observed_with_makespan(
-                                &mode, &wl, models[i], deadline, None, makespan,
-                            )
-                            .expect("trial");
-                        results.lock().unwrap()[i] = Some(trial);
-                    }
-                }
-            });
-        }
-    });
+    let parts = run_pool(
+        models.len(),
+        workers,
+        || (CampaignRunner::new(cfg), Vec::new()),
+        |(runner, done), i| {
+            let trial = runner.run_trial_observed_with_makespan(
+                &mode, &wl, models[i], deadline, None, makespan,
+            )?;
+            done.push((i, trial));
+            Ok::<_, RedundancyError>(())
+        },
+        |(_, done)| done,
+    )
+    .expect("trial");
+    let mut results = vec![None; models.len()];
+    for (i, trial) in parts.into_iter().flatten() {
+        results[i] = Some(trial);
+    }
     results
-        .into_inner()
-        .unwrap()
         .into_iter()
         .map(|t| t.expect("every trial ran"))
         .collect()

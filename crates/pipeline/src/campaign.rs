@@ -14,11 +14,11 @@
 //!   unrecoverable detection or a blown end-to-end FTTI): safe, but the
 //!   function is lost for this frame.
 //!
-//! The engine mirrors `higpu_faults::campaign` exactly: pre-drawn models,
-//! reusable per-worker devices, guided-self-scheduling work claims
-//! ([`higpu_faults::campaign::claim_chunk`]) and an order-independent
-//! count reduction, so the parallel report is bit-identical to the serial
-//! reference at every worker count.
+//! The engine shares `higpu_faults::campaign`'s design and its worker
+//! pool ([`higpu_faults::campaign::run_pool`]): pre-drawn models, reusable
+//! per-worker devices and an order-independent count reduction, so the
+//! parallel report is bit-identical to the serial reference at every worker
+//! count.
 
 use crate::exec::{
     plan, run_pipeline, ExecMode, FrameOptions, PipelineError, PipelinePlan, PipelineRun,
@@ -31,14 +31,13 @@ use higpu_core::policy::PolicyKind;
 use higpu_core::redundancy::{RedundancyError, RedundancyMode};
 use higpu_core::safety_case::DetectionEvidence;
 use higpu_faults::campaign::{
-    claim_chunk, draw_models, policy_mode, CampaignConfig, CampaignError, FaultSpec,
+    draw_models, policy_mode, run_pool, CampaignConfig, CampaignError, FaultSpec,
 };
 use higpu_faults::injector::{FaultInjector, InjectionCounters};
 use higpu_faults::model::FaultModel;
 use higpu_sim::gpu::{Gpu, SimError};
 use higpu_workloads::{Scale, SessionError};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One cell of a pipeline campaign sweep.
@@ -837,74 +836,16 @@ pub fn run_pipeline_campaign(
     spec: &PipelineCampaignSpec,
 ) -> Result<PipelineCampaignReport, PipelineCampaignError> {
     let resolved = resolve(cfg, reg, spec)?;
-    let workers = cfg.resolved_workers().min(resolved.models.len()).max(1);
-
-    if workers == 1 {
-        let mut runner = PipelineCampaignRunner::new(cfg);
-        let mut counts = PipelineCounts::default();
-        for &model in &resolved.models {
-            run_one_trial(&mut runner, spec, &resolved, model, &mut counts)?;
-        }
-        return Ok(finish_report(spec, &resolved, cfg.trials, counts));
-    }
-
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let results: Vec<Result<PipelineCounts, (usize, PipelineError)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let resolved = &resolved;
-                    let next = &next;
-                    let abort = &abort;
-                    scope.spawn(move || {
-                        let mut runner = PipelineCampaignRunner::new(cfg);
-                        let mut counts = PipelineCounts::default();
-                        'claims: while !abort.load(Ordering::Relaxed) {
-                            let Some(range) = claim_chunk(next, resolved.models.len(), workers)
-                            else {
-                                break;
-                            };
-                            for i in range {
-                                if abort.load(Ordering::Relaxed) {
-                                    break 'claims;
-                                }
-                                if let Err(e) = run_one_trial(
-                                    &mut runner,
-                                    spec,
-                                    resolved,
-                                    resolved.models[i],
-                                    &mut counts,
-                                ) {
-                                    abort.store(true, Ordering::Relaxed);
-                                    return Err((i, e));
-                                }
-                            }
-                        }
-                        Ok(counts)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pipeline campaign worker panicked"))
-                .collect()
-        });
-
+    let parts = run_pool(
+        resolved.models.len(),
+        cfg.resolved_workers(),
+        || (PipelineCampaignRunner::new(cfg), PipelineCounts::default()),
+        |(runner, counts), i| run_one_trial(runner, spec, &resolved, resolved.models[i], counts),
+        |(_, counts)| counts,
+    )?;
     let mut counts = PipelineCounts::default();
-    let mut first_error: Option<(usize, PipelineError)> = None;
-    for r in results {
-        match r {
-            Ok(c) => counts.merge(c),
-            Err((i, e)) => {
-                if first_error.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                    first_error = Some((i, e));
-                }
-            }
-        }
-    }
-    if let Some((_, e)) = first_error {
-        return Err(e.into());
+    for c in parts {
+        counts.merge(c);
     }
     Ok(finish_report(spec, &resolved, cfg.trials, counts))
 }

@@ -257,21 +257,28 @@ mod tests {
 
     #[test]
     fn energy_is_preserved() {
-        // An orthonormal transform preserves the L2 norm.
-        let d = small();
-        let input: f32 = d.image().iter().map(|v| v * v).sum();
-        let mut gpu = Gpu::new(GpuConfig::paper_6sm());
-        let mut s = SoloSession::new(&mut gpu);
-        let out = d.run(&mut s).expect("runs");
-        let output: f32 = out
-            .iter()
-            .map(|w| {
-                let v = f32::from_bits(*w);
-                v * v
-            })
-            .sum();
-        let rel = (input - output).abs() / input;
-        assert!(rel < 1e-3, "energy drift {rel}");
+        // An orthonormal transform preserves the L2 norm, at every size and
+        // level count.
+        for (size, levels) in [(32, 2), (16, 1), (16, 3), (64, 2)] {
+            let d = Dwt2d { size, levels };
+            let input: f32 = d.image().iter().map(|v| v * v).sum();
+            let mut gpu = Gpu::new(GpuConfig::paper_6sm());
+            let mut s = SoloSession::new(&mut gpu);
+            let out = d.run(&mut s).expect("runs");
+            d.verify(&out).expect("matches reference");
+            let output: f32 = out
+                .iter()
+                .map(|w| {
+                    let v = f32::from_bits(*w);
+                    v * v
+                })
+                .sum();
+            let rel = (input - output).abs() / input;
+            assert!(
+                rel < 1e-3,
+                "energy drift {rel} at {size}x{size}, {levels} levels"
+            );
+        }
     }
 
     #[test]

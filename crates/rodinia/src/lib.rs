@@ -130,6 +130,49 @@ mod tests {
     }
 
     #[test]
+    fn kernels_match_reference_for_random_geometry() {
+        use higpu_sim::config::GpuConfig;
+        use higpu_sim::gpu::Gpu;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x40D1_141A);
+        for _ in 0..3 {
+            let threads_per_block = 1 << rng.gen_range(5..8u32);
+            let benches: [Box<dyn Benchmark>; 4] = [
+                Box::new(pathfinder::Pathfinder {
+                    cols: rng.gen_range(16..512),
+                    rows: rng.gen_range(2..12),
+                    threads_per_block,
+                }),
+                Box::new(bfs::Bfs {
+                    nodes: rng.gen_range(16..512),
+                    extra_degree: rng.gen_range(0..4),
+                    threads_per_block,
+                    source: 0,
+                }),
+                Box::new(nw::Nw {
+                    n: 16 * rng.gen_range(1..6u32),
+                    penalty: rng.gen_range(1..20),
+                }),
+                Box::new(kmeans::Kmeans {
+                    points: 1 << rng.gen_range(6..10u32),
+                    features: rng.gen_range(2..6),
+                    k: rng.gen_range(2..6),
+                    iterations: 2,
+                    threads_per_block: 64,
+                }),
+            ];
+            for b in benches {
+                let mut gpu = Gpu::new(GpuConfig::paper_6sm());
+                let out = b.run(&mut SoloSession::new(&mut gpu)).expect("solo run");
+                b.verify(&out)
+                    .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+            }
+        }
+    }
+
+    #[test]
     fn registry_covers_all_benchmarks() {
         let reg = registry();
         for b in all_benchmarks() {

@@ -12,7 +12,6 @@ use crate::scheduler::{
 };
 use crate::sm::{BlockCompletion, IssueRecord, Sm, SmState};
 use crate::stats::SimStats;
-use crate::timeq::TimeQ;
 use crate::trace::{BlockRecord, ExecutionTrace, KernelRecord};
 use higpu_telemetry::{EventKind, EventRing, TraceEvent, NO_SM};
 use std::cmp::Reverse;
@@ -309,11 +308,6 @@ pub struct Gpu {
     // Rebuilt from scratch on every `run_until` entry, so launches, resets,
     // cancellations and quarantines between runs need no event bookkeeping.
     // All containers retain capacity across runs.
-    /// SM wake-up queue: `(cycle, sm)` entries, one live entry per SM whose
-    /// cached `next_ready_at` is finite (pushed after every state change;
-    /// stale entries are discarded lazily on pop/peek by re-checking the
-    /// SM's current wake time).
-    sm_wake: TimeQ<usize>,
     /// Future kernel arrivals `(arrival, kernel id)`, min-heap. Non-empty
     /// iff some unfinished kernel has `arrival > cycle` — exactly the
     /// stepping core's per-iteration "future arrival" re-dirty condition.
@@ -329,16 +323,8 @@ pub struct Gpu {
     /// finished kernels in the table). `debug_assert`-checked against the
     /// exhaustive scan on every [`Gpu::is_idle`] call.
     live_kernels: usize,
-    /// Scratch: SMs due to issue at the current cycle (sorted ascending to
-    /// reproduce the stepping core's SM visit order).
-    due_sms: Vec<usize>,
-    /// Scratch: per-SM dedup flags for `due_sms` collection.
-    due_flags: Vec<bool>,
-    /// Scratch: per-SM wake times snapshotted around scheduling rounds to
-    /// detect admissions that change an SM's wake-up.
-    wake_snapshot: Vec<u64>,
     /// Flat mirror of every SM's [`Sm::next_ready_at`], rebuilt on entry to
-    /// the flat event core and refreshed after each issue / scheduling
+    /// the event core and refreshed after each issue / scheduling
     /// round. The per-visit due-SM scan reads this one contiguous row
     /// instead of chasing a cache line into each (large) [`Sm`] struct —
     /// most visits wake only one or two of the SMs but must compare all of
@@ -359,10 +345,6 @@ impl fmt::Debug for Gpu {
 }
 
 impl Gpu {
-    /// Widest device the flat event core handles; wider devices use the
-    /// time-wheel variant (see [`Gpu::run_until_event`]).
-    pub const FLAT_SM_LIMIT: usize = 32;
-
     /// Creates a GPU with the [`DefaultScheduler`] policy and no faults.
     ///
     /// # Panics
@@ -408,13 +390,9 @@ impl Gpu {
                 .map(|n| Box::new(EventRing::with_capacity(n))),
             restores: 0,
             restore_skipped_cycles: 0,
-            sm_wake: TimeQ::new(),
             arrivals: BinaryHeap::new(),
             arrived_pending: 0,
             live_kernels: 0,
-            due_sms: Vec::new(),
-            due_flags: vec![false; cfg.num_sms],
-            wake_snapshot: Vec::new(),
             flat_wakes: Vec::new(),
             cfg,
         }
@@ -837,7 +815,6 @@ impl Gpu {
         }
         self.restores = 0;
         self.restore_skipped_cycles = 0;
-        self.sm_wake.reset_stats();
         Ok(())
     }
 
@@ -1389,33 +1366,17 @@ impl Gpu {
         Ok(self.cycle)
     }
 
-    /// Runs one scheduling round, re-queueing the wake-up of every SM whose
-    /// earliest ready time the round changed (block admissions make an idle
-    /// or sleeping SM ready at `dispatch + BLOCK_DISPATCH_LATENCY`).
-    fn run_sched_tracked(&mut self) {
-        let mut snap = std::mem::take(&mut self.wake_snapshot);
-        snap.clear();
-        snap.extend(self.sms.iter().map(Sm::next_ready_at));
-        self.run_scheduler();
-        for (i, &old) in snap.iter().enumerate() {
-            let new = self.sms[i].next_ready_at();
-            if new != old && new != u64::MAX {
-                self.sm_wake.push(new, i);
-            }
-        }
-        self.wake_snapshot = snap;
-    }
-
-    /// The event-driven core ([`CoreKind::Event`]): a two-level time queue
-    /// ([`TimeQ`]) delivers exactly the SMs with an issuable warp at each
-    /// visited cycle, and kernel arrivals are scheduled events instead of
-    /// per-iteration scans over the launch table.
+    /// The event-driven core ([`CoreKind::Event`]): kernel arrivals are
+    /// heap events and the pending-block count is mirrored incrementally
+    /// (its wins over stepping), while due-SM collection and the advance
+    /// rule are flat scans over a per-SM wake-time cache — O(SMs) per
+    /// visited cycle with no queue maintenance at all.
     ///
     /// Bit-identical to [`Gpu::run_until_stepping`] by construction:
     ///
     /// * it visits the same cycle sequence — the advance rule computes the
-    ///   same `next` from the queue minima that the stepping core derives
-    ///   by exhaustive scan;
+    ///   same `next` from the wake cache and the arrival heap that the
+    ///   stepping core derives by exhaustive scan;
     /// * skipped SMs are exactly those for which the stepping core's
     ///   [`Sm::issue`] is a provable no-op (no warp issuable at `now`);
     /// * due SMs issue in ascending id order, the stepping core's visit
@@ -1426,33 +1387,9 @@ impl Gpu {
     ///
     /// All event state is rebuilt on entry, so host-side mutations between
     /// runs (launch, reset, cancel, quarantine) need no event bookkeeping.
-    ///
-    /// Adaptive core selection: on devices up to [`Gpu::FLAT_SM_LIMIT`] SMs
-    /// the per-iteration flat minimum over the (cache-resident) wake-time
-    /// array is cheaper than time-wheel maintenance — the wheel's push/pop
-    /// churn on dense-ready workloads (one push per issue visit) is exactly
-    /// the `core_mips` regression on short kernels. The wheel variant takes
-    /// over on wider devices, where O(SMs) scans per event would dominate.
-    /// Both variants are bit-identical to the stepping oracle (and hence to
-    /// each other) — fenced by `tests/cross_core.rs` at both device widths.
+    /// Fenced against the stepping oracle by `tests/cross_core.rs` and, on a
+    /// 40-SM device, by `crates/sim/tests/snapshot_restore.rs`.
     fn run_until_event(
-        &mut self,
-        done: impl FnMut(&Gpu) -> bool,
-        pause_at: Option<u64>,
-    ) -> Result<u64, SimError> {
-        if self.sms.len() <= Self::FLAT_SM_LIMIT {
-            self.run_until_event_flat(done, pause_at)
-        } else {
-            self.run_until_event_wheel(done, pause_at)
-        }
-    }
-
-    /// Flat event core for narrow devices: kernel arrivals are heap events
-    /// and the pending-block count is mirrored incrementally (the event
-    /// core's wins over stepping), while due-SM collection and the advance
-    /// rule are flat scans over the per-SM wake cache — O(SMs) per visited
-    /// cycle with no queue maintenance at all.
-    fn run_until_event_flat(
         &mut self,
         mut done: impl FnMut(&Gpu) -> bool,
         pause_at: Option<u64>,
@@ -1597,164 +1534,6 @@ impl Gpu {
         Ok(self.cycle)
     }
 
-    /// Time-wheel event core for wide devices (see [`Gpu::run_until_event`]).
-    fn run_until_event_wheel(
-        &mut self,
-        mut done: impl FnMut(&Gpu) -> bool,
-        pause_at: Option<u64>,
-    ) -> Result<u64, SimError> {
-        if done(self) {
-            return Ok(self.cycle);
-        }
-        self.sm_wake.clear();
-        for i in 0..self.sms.len() {
-            let w = self.sms[i].next_ready_at();
-            if w != u64::MAX {
-                self.sm_wake.push(w, i);
-            }
-            self.due_flags[i] = false;
-        }
-        self.arrivals.clear();
-        for k in &self.kernels {
-            if !k.is_finished() && k.arrival > self.cycle {
-                self.arrivals.push(Reverse((k.arrival, k.id.0)));
-            }
-        }
-        self.arrived_pending = self.pending_blocks();
-
-        let mut completions = std::mem::take(&mut self.sched.completions);
-        while !self.is_idle() {
-            if pause_at.is_some_and(|t| self.cycle >= t) {
-                break;
-            }
-            // Watchdog: identical cycle sequence to the stepping core, so
-            // deadline cut-offs land on the same cycle.
-            if let Some(limit) = self.cycle_limit {
-                if self.cycle > limit {
-                    self.sched.completions = completions;
-                    return Err(SimError::DeadlineExceeded {
-                        cycle: self.cycle,
-                        limit,
-                    });
-                }
-            }
-            if self.cycle >= self.inert_cutoff {
-                if let Some(e) = self.inert_exit() {
-                    self.sched.completions = completions;
-                    return Err(e);
-                }
-            }
-            // Matured arrivals join the pending pool (the stepping core's
-            // `arrival <= cycle` filter does this implicitly).
-            while let Some(&Reverse((arr, kid))) = self.arrivals.peek() {
-                if arr > self.cycle {
-                    break;
-                }
-                self.arrivals.pop();
-                if let Some(k) = self.kernels.iter().find(|k| k.id.0 == kid) {
-                    if !k.is_finished() {
-                        self.arrived_pending += k.blocks_total() - k.blocks_issued;
-                    }
-                }
-            }
-            if self.sched_dirty {
-                self.sched_dirty = false;
-                self.run_sched_tracked();
-            }
-
-            // Collect the SMs whose wake-up is due, deduped and sorted
-            // ascending — the stepping core's SM visit order. An entry is
-            // stale (SM state changed since it was queued) when the SM's
-            // current wake time is in the future; the live entry for that
-            // wake is elsewhere in the queue.
-            completions.clear();
-            let mut due = std::mem::take(&mut self.due_sms);
-            due.clear();
-            while let Some((c, _)) = self.sm_wake.peek_min() {
-                if c > self.cycle {
-                    break;
-                }
-                let (_, sm) = self.sm_wake.pop_min().expect("peeked entry");
-                if self.sms[sm].next_ready_at() <= self.cycle && !self.due_flags[sm] {
-                    self.due_flags[sm] = true;
-                    due.push(sm);
-                }
-            }
-            due.sort_unstable();
-            for &sm in &due {
-                self.sms[sm].issue(
-                    self.cycle,
-                    &mut self.mem,
-                    &mut self.dirty_hi,
-                    &mut self.memsys,
-                    self.fault.as_mut(),
-                    self.fault_enabled,
-                    &mut completions,
-                );
-                self.due_flags[sm] = false;
-                let w = self.sms[sm].next_ready_at();
-                if w != u64::MAX {
-                    self.sm_wake.push(w, sm);
-                }
-            }
-            self.due_sms = due;
-            for c in completions.drain(..) {
-                self.process_completion(c);
-            }
-            if self.is_idle() || done(self) {
-                break;
-            }
-
-            // Advance to the next event: earliest live SM wake-up vs the
-            // next kernel arrival, with the stepping core's re-dirty rule
-            // for outstanding arrivals and pending dispatches.
-            let mut next = u64::MAX;
-            while let Some((c, sm)) = self.sm_wake.peek_min() {
-                if self.sms[sm].next_ready_at() == c {
-                    next = c;
-                    break;
-                }
-                self.sm_wake.pop_min();
-            }
-            if let Some(&Reverse((arr, _))) = self.arrivals.peek() {
-                next = next.min(arr);
-                self.sched_dirty = true;
-            }
-            debug_assert_eq!(
-                self.arrived_pending,
-                self.pending_blocks(),
-                "incremental pending-block mirror diverged at cycle {}",
-                self.cycle
-            );
-            if self.sched_dirty && self.arrived_pending > 0 {
-                next = next.min(self.cycle + 1);
-            }
-            if next == u64::MAX {
-                // Quiescent but unfinished — same last-chance round and
-                // stall report as the stepping core.
-                self.run_sched_tracked();
-                let ready = self
-                    .sms
-                    .iter()
-                    .map(Sm::next_ready_at)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                if ready == u64::MAX {
-                    self.sched.completions = completions;
-                    return Err(SimError::Stalled {
-                        cycle: self.cycle,
-                        pending_blocks: self.pending_blocks(),
-                    });
-                }
-                self.cycle = ready.max(self.cycle + 1);
-                continue;
-            }
-            self.cycle = next.max(self.cycle + 1);
-        }
-        self.sched.completions = completions;
-        Ok(self.cycle)
-    }
-
     /// Enables or disables per-instruction issue logging on every SM.
     /// Clears previously accumulated records. The log is the cross-core
     /// validation probe: two [`CoreKind`]s agree iff their drained logs are
@@ -1793,7 +1572,6 @@ impl Gpu {
             oob_accesses: self.sms.iter().map(|s| s.oob_accesses).sum(),
             kernels_completed: self.kernels.iter().filter(|k| k.is_finished()).count() as u64,
             blocks_completed: self.blocks_completed,
-            timeq: self.sm_wake.stats(),
         }
     }
 }
@@ -1802,7 +1580,10 @@ impl Gpu {
 mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
+    use crate::isa::CmpOp;
     use crate::kernel::LaunchConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn inc_kernel() -> Arc<crate::program::Program> {
         let mut b = KernelBuilder::new("inc");
@@ -1813,6 +1594,162 @@ mod tests {
         let v1 = b.iadd(v, 1u32);
         b.stg(a, 0, v1);
         b.build().expect("valid").into_shared()
+    }
+
+    /// Runs `prog` as `blocks` x `threads` on a fresh tiny device with an
+    /// output buffer as parameter 0, `input` as parameter 1 and `extra`
+    /// after them; returns the output words (one per thread, at least 16)
+    /// and the makespan.
+    fn run_collect(
+        prog: Arc<crate::program::Program>,
+        (blocks, threads): (u32, u32),
+        input: &[u32],
+        extra: &[u32],
+    ) -> (Vec<u32>, u64) {
+        let mut gpu = Gpu::new(GpuConfig::tiny_2sm());
+        let words = (blocks * threads).max(16);
+        let out = gpu.alloc_words(words).expect("alloc");
+        let inp = gpu.alloc_words(input.len().max(1) as u32).expect("alloc");
+        gpu.write_u32(inp, input);
+        let mut cfg = LaunchConfig::new(blocks, threads)
+            .param_u32(out.0)
+            .param_u32(inp.0);
+        for &p in extra {
+            cfg = cfg.param_u32(p);
+        }
+        gpu.launch(KernelLaunch::new(prog, cfg)).expect("launch");
+        let end = gpu.run_to_idle().expect("run");
+        assert_eq!(gpu.stats().oob_accesses, 0);
+        (gpu.read_u32(out, words as usize), end)
+    }
+
+    #[test]
+    fn random_divergent_kernels_match_a_scalar_reference() {
+        let mut rng = StdRng::seed_from_u64(0x00D1_7E12);
+        for case in 0..24 {
+            // y = x > th ? x * scale : x - 1, then each cut on the global
+            // thread id adds its own constant below it and 1 above it.
+            let (blocks, threads) = (rng.gen_range(1..3u32), rng.gen_range(1..48u32));
+            let n = (blocks * threads) as usize;
+            let xs: Vec<u32> = (0..n).map(|_| rng.gen_range(-100i32..100) as u32).collect();
+            let (th, scale) = (rng.gen_range(-50i32..50), rng.gen_range(1i32..8));
+            let cuts: Vec<u32> = (0..rng.gen_range(1..4usize))
+                .map(|_| rng.gen_range(0..96u32))
+                .collect();
+            let mut b = KernelBuilder::new("diverge");
+            let (out, x, thr, sc) = (b.param(0), b.param(1), b.param(2), b.param(3));
+            let i = b.global_tid_x();
+            let xa = b.addr_w(x, i);
+            let v = b.ldg(xa, 0);
+            let acc = b.reg();
+            let p = b.isetp(CmpOp::Gt, v, thr);
+            b.if_else(
+                p,
+                |b| {
+                    let m = b.imul(v, sc);
+                    b.mov_to(acc, m);
+                },
+                |b| {
+                    let m = b.isub(v, 1u32);
+                    b.mov_to(acc, m);
+                },
+            );
+            b.release_preds(1);
+            for (k, &cut) in cuts.iter().enumerate() {
+                let p = b.isetp(CmpOp::Lt, i, cut);
+                b.if_else(
+                    p,
+                    |b| b.iadd_to(acc, acc, (k as u32 + 1) * 10),
+                    |b| b.iadd_to(acc, acc, 1u32),
+                );
+                b.release_preds(1);
+            }
+            let ya = b.addr_w(out, i);
+            b.stg(ya, 0, acc);
+            let prog = b.build().expect("valid").into_shared();
+            let (got, _) = run_collect(prog, (blocks, threads), &xs, &[th as u32, scale as u32]);
+            for (tid, &xv) in xs.iter().enumerate() {
+                let xv = xv as i32;
+                let mut want = if xv > th { xv * scale } else { xv - 1 } as u32;
+                for (k, &cut) in cuts.iter().enumerate() {
+                    want = want.wrapping_add(if (tid as u32) < cut {
+                        (k as u32 + 1) * 10
+                    } else {
+                        1
+                    });
+                }
+                assert_eq!(got[tid], want, "case {case}, thread {tid}");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_alu_matches_host_semantics() {
+        let mut rng = StdRng::seed_from_u64(0x00A1_0005);
+        let edge = [0, 1, -1, 31, 32, i32::MIN, i32::MAX];
+        let mut pairs: Vec<(i32, i32)> = edge.iter().flat_map(|&a| edge.map(|b| (a, b))).collect();
+        pairs.extend((0..32).map(|_| {
+            let draw = |rng: &mut StdRng| rng.gen_range(0..u64::MAX) as u32 as i32;
+            (draw(&mut rng), draw(&mut rng))
+        }));
+        for (a, b) in pairs {
+            let mut k = KernelBuilder::new("alu");
+            let out = k.param(0);
+            let ra = k.mov(a);
+            let results = [
+                k.iadd(ra, b),
+                k.isub(ra, b),
+                k.imul(ra, b),
+                k.idiv(ra, b),
+                k.irem(ra, b),
+                k.imin(ra, b),
+                k.imax(ra, b),
+                k.iand(ra, b),
+                k.ior(ra, b),
+                k.ixor(ra, b),
+                k.ishl(ra, b),
+                k.ishr(ra, b),
+            ];
+            for (w, r) in results.into_iter().enumerate() {
+                k.stg(out, 4 * w as i32, r);
+            }
+            let prog = k.build().expect("valid").into_shared();
+            let (got, _) = run_collect(prog, (1, 1), &[], &[]);
+            let (au, bu) = (a as u32, b as u32);
+            let want = [
+                au.wrapping_add(bu),
+                au.wrapping_sub(bu),
+                au.wrapping_mul(bu),
+                if b == 0 { 0 } else { a.wrapping_div(b) as u32 },
+                if b == 0 { 0 } else { a.wrapping_rem(b) as u32 },
+                a.min(b) as u32,
+                a.max(b) as u32,
+                au & bu,
+                au | bu,
+                au ^ bu,
+                au.wrapping_shl(bu & 31),
+                au.wrapping_shr(bu & 31),
+            ];
+            assert_eq!(&got[..want.len()], &want, "a = {a}, b = {b}");
+        }
+    }
+
+    #[test]
+    fn makespan_is_monotone_in_sequential_work() {
+        let makespan = |loops: u32| {
+            let mut b = KernelBuilder::new("work");
+            let out = b.param(0);
+            let i = b.global_tid_x();
+            let acc = b.mov(1.5f32);
+            b.for_range(0u32, loops * 16, 1u32, |b, _| {
+                b.ffma_to(acc, acc, 0.5f32, 0.25f32);
+            });
+            let a = b.addr_w(out, i);
+            b.stg(a, 0, acc);
+            run_collect(b.build().expect("valid").into_shared(), (2, 32), &[], &[]).1
+        };
+        let spans: Vec<u64> = (1..8).map(makespan).collect();
+        assert!(spans.windows(2).all(|w| w[0] <= w[1]), "{spans:?}");
     }
 
     #[test]

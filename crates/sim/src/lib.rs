@@ -70,7 +70,6 @@ pub mod program;
 pub mod scheduler;
 pub mod sm;
 pub mod stats;
-pub mod timeq;
 pub mod trace;
 pub mod warp;
 

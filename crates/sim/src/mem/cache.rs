@@ -238,6 +238,8 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny() -> Cache {
         Cache::new(CacheConfig {
@@ -289,6 +291,50 @@ mod tests {
             other => panic!("expected miss, got {other:?}"),
         }
         assert_eq!(c.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn lru_matches_a_naive_model_on_random_streams() {
+        // Per set, a plain list of (tag, last use); fills complete at once
+        // so pending hits cannot diverge from the model.
+        let (sets, ways, line) = (4usize, 2usize, 64u32);
+        let mut rng = StdRng::seed_from_u64(0xCAC4_E000);
+        for case in 0..64 {
+            let mut cache = Cache::new(CacheConfig {
+                sets,
+                ways,
+                line_bytes: line as usize,
+            });
+            let mut model: Vec<Vec<(u32, u64)>> = vec![Vec::new(); sets];
+            for now in 0..rng.gen_range(1..200u64) {
+                let addr = rng.gen_range(0..8192u32);
+                let got = cache.access(now, addr, false);
+                if matches!(got, CacheOutcome::Miss { .. }) {
+                    cache.fill(addr, now);
+                }
+                let entries = &mut model[(addr / line) as usize % sets];
+                let tag = addr / (line * sets as u32);
+                let hit = match entries.iter_mut().find(|(t, _)| *t == tag) {
+                    Some(e) => {
+                        e.1 = now;
+                        true
+                    }
+                    None => {
+                        if entries.len() == ways {
+                            let lru = (0..ways).min_by_key(|&i| entries[i].1).expect("full");
+                            entries.remove(lru);
+                        }
+                        entries.push((tag, now));
+                        false
+                    }
+                };
+                assert_eq!(
+                    matches!(got, CacheOutcome::Hit | CacheOutcome::HitPending { .. }),
+                    hit,
+                    "case {case}, access #{now} to {addr:#x}"
+                );
+            }
+        }
     }
 
     #[test]

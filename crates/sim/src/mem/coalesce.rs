@@ -104,6 +104,8 @@ pub fn coalesce(addrs: &[u32], mask: u32, write: bool) -> Vec<Transaction> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn fully_coalesced_warp_uses_four_sectors() {
@@ -185,15 +187,20 @@ mod tests {
     #[test]
     fn bitmap_fast_path_matches_sort_reference() {
         // Address patterns straddling the 64-sector window boundary on both
-        // sides, compared against a plain sort-and-dedup reference model.
-        let patterns: [[u32; 32]; 4] = [
+        // sides, plus seeded random ones, compared against a plain
+        // sort-and-dedup reference model. Matching it means every active
+        // lane's sector is covered by exactly one aligned transaction.
+        let mut patterns: Vec<[u32; 32]> = vec![
             std::array::from_fn(|i| 0x1000 + i as u32 * 4), // unit stride
             std::array::from_fn(|i| i as u32 * 63),         // just inside
             std::array::from_fn(|i| i as u32 * 65),         // just outside
             std::array::from_fn(|i| (i as u32).wrapping_mul(0x9e37_79b9) % 8192),
         ];
+        let mut rng = StdRng::seed_from_u64(0xC0A1_E5CE);
+        patterns.extend((0..64).map(|_| std::array::from_fn(|_| rng.gen_range(0..1_000_000u32))));
         for addrs in &patterns {
-            for mask in [u32::MAX, 1, 0x8000_0001, 0xaaaa_5555] {
+            let random_mask = rng.gen_range(0..u64::MAX) as u32;
+            for mask in [u32::MAX, 1, 0x8000_0001, 0xaaaa_5555, random_mask] {
                 let mut reference: Vec<u32> = (0..32)
                     .filter(|l| mask & (1u32 << l) != 0)
                     .map(|l| addrs[l as usize] / SECTOR_BYTES * SECTOR_BYTES)

@@ -2,10 +2,9 @@
 
 use crate::mem::system::MemoryStats;
 use crate::sm::SmStats;
-use crate::timeq::TimeQStats;
 
 /// Counters accumulated over a simulation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Last simulated cycle.
     pub cycles: u64,
@@ -21,26 +20,6 @@ pub struct SimStats {
     pub kernels_completed: u64,
     /// Thread blocks completed.
     pub blocks_completed: u64,
-    /// Wake-queue routing diagnostics of the event core's time wheel
-    /// (all-zero under [`crate::config::CoreKind::Stepping`] and on flat
-    /// event-core devices, which never touch the device wake queue).
-    pub timeq: TimeQStats,
-}
-
-/// Architectural equality only: `timeq` is deliberately excluded — wheel
-/// vs. heap routing is a core *implementation* diagnostic, and the
-/// cross-core and snapshot fences compare stats across cores/run shapes
-/// that legitimately route differently while agreeing architecturally.
-impl PartialEq for SimStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycles == other.cycles
-            && self.instructions == other.instructions
-            && self.per_sm == other.per_sm
-            && self.memory == other.memory
-            && self.oob_accesses == other.oob_accesses
-            && self.kernels_completed == other.kernels_completed
-            && self.blocks_completed == other.blocks_completed
-    }
 }
 
 impl SimStats {

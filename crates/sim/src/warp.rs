@@ -218,6 +218,15 @@ mod tests {
         assert_eq!(Warp::initial_mask(1, 33), 0b1);
         assert_eq!(Warp::initial_mask(2, 64), 0);
         assert_eq!(Warp::initial_mask(0, 32), u32::MAX);
+        // Every block size: the warps' masks partition the block's threads.
+        for threads in 1..1024u32 {
+            let warps = threads.div_ceil(32) as usize;
+            let masks: Vec<u32> = (0..warps).map(|w| Warp::initial_mask(w, threads)).collect();
+            assert!(masks.iter().all(|&m| m != 0), "{threads} threads");
+            let covered: u32 = masks.iter().map(|m| m.count_ones()).sum();
+            assert_eq!(covered, threads);
+            assert_eq!(Warp::initial_mask(warps, threads), 0);
+        }
     }
 
     #[test]

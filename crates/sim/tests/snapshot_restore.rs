@@ -239,14 +239,13 @@ fn watchdog_deadline_is_absolute_across_restore() {
 }
 
 #[test]
-fn wide_device_uses_wheel_core_and_stays_bit_identical() {
-    // Above Gpu::FLAT_SM_LIMIT the event core takes the time-wheel path;
-    // keep it covered against the stepping oracle (the registry devices are
-    // all narrow, so without this fence the wheel would go untested).
+fn wide_device_event_core_stays_bit_identical() {
+    // The registry devices have at most 10 SMs; keep the event core's flat
+    // per-SM scans fenced against the stepping oracle on a much wider one.
     let wide = |core| {
         let cfg = GpuConfig {
             core,
-            num_sms: Gpu::FLAT_SM_LIMIT + 8,
+            num_sms: 40,
             ..GpuConfig::paper_6sm()
         };
         cfg.validate().expect("valid wide config");
@@ -267,11 +266,10 @@ fn wide_device_uses_wheel_core_and_stays_bit_identical() {
         gpu.run_to_idle().expect("run");
         collect(&mut gpu, a, a)
     };
-    assert!(GpuConfig::paper_6sm().num_sms <= Gpu::FLAT_SM_LIMIT);
     let oracle = wide(CoreKind::Stepping);
     let event = wide(CoreKind::Event);
     assert!(!oracle.issues.is_empty());
-    assert_eq!(oracle, event, "wheel event core diverged from stepping");
+    assert_eq!(oracle, event, "event core diverged from stepping on 40 SMs");
 }
 
 #[test]

@@ -7,7 +7,7 @@ use higpu_bench::matrix::{full_registry, run_matrix, MatrixConfig};
 use higpu_core::policy::PolicyKind;
 use higpu_core::redundancy::RedundancyMode;
 use higpu_faults::campaign::{
-    draw_models, dry_run_makespan, run_trial, CampaignConfig, CampaignRunner, FaultSpec,
+    draw_models, dry_run_makespan, CampaignConfig, CampaignRunner, FaultSpec,
 };
 use higpu_faults::workload::CampaignWorkload;
 use higpu_sim::gpu::Gpu;
@@ -162,8 +162,9 @@ fn single_replica_fault_is_corrected_under_tmr_but_detected_under_dcls() {
     };
 
     let dcls = CampaignRunner::new(&cfg)
-        .run_trial(&RedundancyMode::srrs_default(6), &wl, fault)
-        .expect("dcls trial");
+        .run_trial_observed(&RedundancyMode::srrs_default(6), &wl, fault, None, None)
+        .expect("dcls trial")
+        .0;
     assert_eq!(
         dcls,
         TrialOutcome::Detected,
@@ -171,8 +172,9 @@ fn single_replica_fault_is_corrected_under_tmr_but_detected_under_dcls() {
     );
 
     let tmr = CampaignRunner::new(&cfg)
-        .run_trial(&RedundancyMode::srrs_spread(6, 3), &wl, fault)
-        .expect("tmr trial");
+        .run_trial_observed(&RedundancyMode::srrs_spread(6, 3), &wl, fault, None, None)
+        .expect("tmr trial")
+        .0;
     assert_eq!(
         tmr,
         TrialOutcome::Corrected,
@@ -183,8 +185,9 @@ fn single_replica_fault_is_corrected_under_tmr_but_detected_under_dcls() {
     // The same holds for the concurrent SLICE policy: the faulty SM lies in
     // exactly one of the three slices.
     let slice = CampaignRunner::new(&cfg)
-        .run_trial(&RedundancyMode::slice(3), &wl, fault)
-        .expect("slice trial");
+        .run_trial_observed(&RedundancyMode::slice(3), &wl, fault, None, None)
+        .expect("slice trial")
+        .0;
     assert_eq!(slice, TrialOutcome::Corrected);
 }
 
@@ -369,9 +372,10 @@ fn rodinia_trials_are_deterministic_under_device_reuse() {
         let mut runner = CampaignRunner::new(&cfg);
         for (i, &model) in models.iter().enumerate() {
             let reused = runner
-                .run_trial(&mode, &wl, model)
+                .run_trial_observed(&mode, &wl, model, None, None)
                 .unwrap_or_else(|e| panic!("{name}: reused trial {i} failed: {e}"));
-            let fresh = run_trial(&cfg, &mode, &wl, model)
+            let fresh = CampaignRunner::new(&cfg)
+                .run_trial_observed(&mode, &wl, model, None, None)
                 .unwrap_or_else(|e| panic!("{name}: fresh trial {i} failed: {e}"));
             assert_eq!(
                 reused, fresh,

@@ -2,7 +2,9 @@
 //! matrix, exercised through the public crate APIs.
 
 use higpu::core::redundancy::RedundancyMode;
-use higpu::faults::campaign::{run_campaign, run_trial, CampaignConfig, FaultSpec, TrialOutcome};
+use higpu::faults::campaign::{
+    run_campaign, CampaignConfig, CampaignRunner, FaultSpec, TrialOutcome,
+};
 use higpu::faults::model::FaultModel;
 use higpu::faults::workload::IteratedFma;
 
@@ -20,6 +22,14 @@ fn workload() -> IteratedFma {
         threads_per_block: 64,
         iters: 16,
     }
+}
+
+/// One trial of `fault` without a watchdog, on a fresh device.
+fn run_trial(mode: &RedundancyMode, fault: FaultModel) -> TrialOutcome {
+    CampaignRunner::new(&cfg(1))
+        .run_trial_observed(mode, &workload(), fault, None, None)
+        .expect("trial")
+        .0
 }
 
 #[test]
@@ -63,17 +73,10 @@ fn specific_permanent_fault_is_detected_by_srrs_and_missed_by_default() {
         from_cycle: 0,
         bit: 9,
     };
-    let srrs = run_trial(
-        &cfg(1),
-        &RedundancyMode::srrs_default(6),
-        &workload(),
-        fault,
-    )
-    .expect("trial");
+    let srrs = run_trial(&RedundancyMode::srrs_default(6), fault);
     assert_eq!(srrs, TrialOutcome::Detected, "SRRS: different SMs per copy");
 
-    let default =
-        run_trial(&cfg(1), &RedundancyMode::uncontrolled(), &workload(), fault).expect("trial");
+    let default = run_trial(&RedundancyMode::uncontrolled(), fault);
     assert_eq!(
         default,
         TrialOutcome::UndetectedFailure,
@@ -87,13 +90,7 @@ fn scheduler_misroute_is_caught_by_the_self_test() {
         shift: 2,
         from_cycle: 0,
     };
-    let outcome = run_trial(
-        &cfg(1),
-        &RedundancyMode::srrs_default(6),
-        &workload(),
-        fault,
-    )
-    .expect("trial");
+    let outcome = run_trial(&RedundancyMode::srrs_default(6), fault);
     assert_eq!(
         outcome,
         TrialOutcome::Detected,
@@ -109,12 +106,6 @@ fn fault_window_outside_execution_does_not_activate() {
         duration: 100,
         bit: 0,
     };
-    let outcome = run_trial(
-        &cfg(1),
-        &RedundancyMode::srrs_default(6),
-        &workload(),
-        fault,
-    )
-    .expect("trial");
+    let outcome = run_trial(&RedundancyMode::srrs_default(6), fault);
     assert_eq!(outcome, TrialOutcome::NotActivated);
 }

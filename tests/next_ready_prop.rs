@@ -19,7 +19,6 @@ use higpu_sim::kernel::{BlockFootprint, Dim3, KernelId, KernelLaunch, LaunchConf
 use higpu_sim::mem::system::MemorySystem;
 use higpu_sim::program::Program;
 use higpu_sim::sm::Sm;
-use higpu_sim::timeq::TimeQ;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -201,103 +200,12 @@ fn incremental_next_ready_matches_exhaustive_scan_after_every_mutation_batch() {
     }
 }
 
-/// Property fence for the time wheel's horizon boundary: randomized push/pop
-/// sequences whose cycles cluster *at and around* `base + HORIZON` — the
-/// exact off-by-one surface device snapshots made observable — must match a
-/// multiset reference model entry for entry. The deltas are drawn so that
-/// roughly a third of all pushes land within ±2 cycles of the boundary,
-/// far denser adversarial coverage than the uniform mixed-sequence test in
-/// the `timeq` unit suite.
-#[test]
-fn timeq_horizon_boundary_matches_reference_model() {
-    let h = TimeQ::<usize>::HORIZON as u64;
-    let mut seeder = StdRng::seed_from_u64(0xB0DA_C0DE);
-    for _case in 0..40 {
-        let seed = seeder.gen_range(0..u64::MAX);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut q = TimeQ::new();
-        let mut reference: std::collections::BTreeMap<(u64, usize), u32> =
-            std::collections::BTreeMap::new();
-        let mut clock = 0u64;
-        let (mut pushes, mut outstanding, mut max_outstanding) = (0u64, 0u64, 0u64);
-        for _step in 0..2000 {
-            if rng.gen_range(0..3u32) != 0 {
-                // Cycle classes: at/around the boundary, inside the window,
-                // far beyond it, and occasionally before the current clock
-                // (late wake-ups land on the overflow path).
-                let cycle = match rng.gen_range(0..6u32) {
-                    0 | 1 => (clock + h + rng.gen_range(0..5u64)).saturating_sub(2),
-                    2 => clock + h - rng.gen_range(1..4u64),
-                    3 => clock + rng.gen_range(0..h),
-                    4 => clock + h + rng.gen_range(0..10_000u64),
-                    _ => clock.saturating_sub(rng.gen_range(0..50u64)),
-                };
-                let payload = rng.gen_range(0..9u64) as usize;
-                q.push(cycle, payload);
-                *reference.entry((cycle, payload)).or_insert(0) += 1;
-                pushes += 1;
-                outstanding += 1;
-                max_outstanding = max_outstanding.max(outstanding);
-            } else if let Some((&e, _)) = reference.iter().next() {
-                assert_eq!(
-                    q.peek_min(),
-                    Some(e),
-                    "peek diverged at the horizon boundary (case seed {seed:#x})"
-                );
-                let got = q.pop_min().expect("reference says non-empty");
-                assert_eq!(
-                    got, e,
-                    "pop order diverged at the horizon boundary (case seed {seed:#x})"
-                );
-                let n = reference.get_mut(&e).expect("present");
-                *n -= 1;
-                if *n == 0 {
-                    reference.remove(&e);
-                }
-                outstanding -= 1;
-                clock = clock.max(e.0);
-            }
-        }
-        while let Some((&e, _)) = reference.iter().next() {
-            assert_eq!(
-                q.pop_min(),
-                Some(e),
-                "drain diverged at the horizon boundary (case seed {seed:#x})"
-            );
-            let n = reference.get_mut(&e).expect("present");
-            *n -= 1;
-            if *n == 0 {
-                reference.remove(&e);
-            }
-        }
-        assert!(q.is_empty());
-        // Routing diagnostics must account for every push, and the
-        // overflow heap can never have held more than the queue's own
-        // high-water entry count — a heap "deeper" than the entries that
-        // ever coexisted would mean entries leak into it (the O(log n)
-        // spill path silently hoarding work the wheel should route).
-        let stats = q.stats();
-        assert_eq!(
-            stats.wheel_pushes + stats.overflow_pushes,
-            pushes,
-            "push accounting lost entries (case seed {seed:#x})"
-        );
-        assert!(
-            stats.max_heap_depth <= max_outstanding,
-            "overflow heap depth {} exceeds the {} entries that ever \
-             coexisted (case seed {seed:#x})",
-            stats.max_heap_depth,
-            max_outstanding
-        );
-    }
-}
-
 /// Pending-event state must not survive `Gpu::reset`/`Gpu::force_reset`
 /// observably: a device whose event queues were left populated — by a
 /// completed run, or by a `run_to_cycle` pause mid-flight — must replay the
 /// next workload bit-identically to a freshly constructed device. Randomizes
 /// the interrupted prefix (workload shape, pause cycle, reset flavor) to
-/// exercise stale wheel entries at many clock offsets.
+/// exercise stale event state at many clock offsets.
 #[test]
 fn event_state_is_unobservable_across_resets() {
     fn little_kernel(iters: u32) -> Arc<Program> {

@@ -8,10 +8,13 @@
 mod common;
 
 use higpu::core::diversity::{analyze, DiversityRequirements};
-use higpu::core::redundancy::{RedundancyMode, RedundantExecutor};
+use higpu::core::redundancy::{RParam, RedundancyMode, RedundantExecutor};
 use higpu::rodinia::{RedundantSession, SoloSession};
+use higpu::sim::builder::KernelBuilder;
 use higpu::sim::config::GpuConfig;
 use higpu::sim::gpu::Gpu;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn run_redundant(
     bench: &dyn higpu::rodinia::Benchmark,
@@ -109,5 +112,53 @@ fn suite_runs_are_deterministic() {
         let (a, _) = run_redundant(bench.as_ref(), RedundancyMode::srrs_default(6));
         let (b, _) = run_redundant(bench.as_ref(), RedundancyMode::srrs_default(6));
         assert_eq!(a, b, "{}: simulation must be deterministic", bench.name());
+    }
+}
+
+#[test]
+fn srrs_and_half_placement_holds_for_random_geometry() {
+    // SRRS places block i on (start + i) % 6 for any start pair; HALF keeps
+    // each replica inside its own half of the device.
+    let mut rng = StdRng::seed_from_u64(0x06E0_03E7);
+    for case in 0..16 {
+        let (blocks, threads) = (rng.gen_range(1..24u32), rng.gen_range(1..128u32));
+        let start_a = rng.gen_range(0..6usize);
+        let srrs = RedundancyMode::Srrs {
+            start_sms: vec![start_a, (start_a + rng.gen_range(1..6usize)) % 6],
+        };
+        for mode in [srrs, RedundancyMode::Half] {
+            let mut gpu = Gpu::new(GpuConfig::paper_6sm());
+            let mut exec = RedundantExecutor::new(&mut gpu, mode.clone()).expect("mode");
+            let mut b = KernelBuilder::new("geom");
+            let out = b.param(0);
+            let i = b.global_tid_x();
+            let a = b.addr_w(out, i);
+            let v = b.imul(i, 7u32);
+            b.stg(a, 0, v);
+            let prog = b.build().expect("valid").into_shared();
+            let buf = exec.alloc_words(blocks * threads).expect("alloc");
+            exec.launch(&prog, blocks, threads, 0, &[RParam::Buf(&buf)])
+                .expect("launch");
+            exec.sync().expect("run");
+            let cmp = exec.read_compare_u32(&buf, (blocks * threads) as usize);
+            assert!(cmp.expect("compare").is_match(), "case {case} {mode:?}");
+            drop(exec);
+            let report = analyze(gpu.trace(), DiversityRequirements::default());
+            assert!(report.is_diverse(), "case {case} {mode:?}: {report:?}");
+            assert_eq!(report.pairs_checked as u32, blocks);
+            for rec in &gpu.trace().blocks {
+                let k = gpu.trace().kernel(rec.kernel).expect("kernel");
+                match &mode {
+                    RedundancyMode::Half => {
+                        let upper = k.attrs.redundant.expect("tag").replica != 0;
+                        assert_eq!(rec.sm >= 3, upper, "case {case}: HALF crossed");
+                    }
+                    _ => {
+                        let start = k.attrs.start_sm.expect("srrs hint");
+                        assert_eq!(rec.sm, (start + rec.block as usize) % 6, "case {case}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,9 +1,6 @@
 //! Property-style randomized tests of the NMR majority voter, driven by
 //! the offline `rand` compat shim (seeded, reproducible — no external
-//! crates). The proptest-strategy versions of these properties live in
-//! `tests/proptest_invariants.rs`, which compiles only once the real
-//! `proptest` crate is available; this file keeps the properties enforced
-//! in tier-1 today.
+//! crates).
 
 use higpu::core::vote::{majority_vote, VoteOutcome};
 use rand::rngs::StdRng;

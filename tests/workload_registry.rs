@@ -56,10 +56,12 @@ fn every_registered_workload_runs_solo_redundant_and_under_fault() {
             bit: 7,
         };
         runner
-            .run_trial(
+            .run_trial_observed(
                 &RedundancyMode::srrs_default(cfg.gpu.num_sms),
                 &campaign,
                 model,
+                None,
+                None,
             )
             .unwrap_or_else(|e| panic!("{name}: fault trial failed: {e}"));
     }
