@@ -20,11 +20,6 @@
 //! instants — plus one checkpointed campaign trial showing fault-arm,
 //! suffix-replay restores, and detection.
 //!
-//! `--core` selects the simulator core(s). Naming more than one core runs
-//! the whole sweep once per core and asserts the results bit-identical —
-//! the stepping-vs-event determinism cross-check over every campaign cell
-//! (the printed matrix comes from the first core named).
-//!
 //! `--checkpoint` runs the workload campaign cells checkpointed (one
 //! fault-free reference pass with periodic device snapshots per cell, then
 //! suffix-only replay per trial), then re-runs the whole sweep from zero
@@ -58,7 +53,7 @@ use higpu_faults::model::FaultModel;
 use higpu_faults::workload::RedundantWorkload;
 use higpu_pipeline::trace_export;
 use higpu_pipeline::{full_pipeline_registry, plan, run_pipeline, ExecMode, FrameOptions};
-use higpu_sim::config::{CoreKind, GpuConfig};
+use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::Gpu;
 use higpu_telemetry::{ChromeTrace, EventKind};
 use higpu_workloads::Scale;
@@ -73,19 +68,10 @@ usage: campaign_matrix [--trials N] [--seed S] [--workloads a,b,c]
                        [--pipeline-trials N] [--exec overlapped,serial]
                        [--frames N] [--limp-trials N]
                        [--wide-replicas 5] [--wide-trials N]
-                       [--core event|stepping|stepping,event]
                        [--checkpoint] [--assert-srrs-clean]
                        [--full-scale] [--check-serial] [--csv] [--json PATH]
                        [--progress] [--quiet] [--trace-out PATH] [--help]
 ";
-
-fn parse_core(s: &str) -> Result<CoreKind, String> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "event" => Ok(CoreKind::Event),
-        "stepping" => Ok(CoreKind::Stepping),
-        other => Err(format!("unknown core '{other}' (event|stepping)")),
-    }
-}
 
 fn parse_policy(s: &str) -> Result<PolicyKind, String> {
     match s.trim().to_ascii_lowercase().as_str() {
@@ -114,9 +100,6 @@ fn parse_fault(s: &str) -> Result<FaultSpec, String> {
 
 struct Options {
     cfg: MatrixConfig,
-    /// Cores to sweep; beyond the first, each re-runs the matrix and must
-    /// reproduce the first core's result bit-for-bit.
-    cores: Vec<CoreKind>,
     csv: bool,
     json: Option<String>,
     assert_srrs_clean: bool,
@@ -127,7 +110,6 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         cfg: MatrixConfig::default(),
-        cores: vec![CoreKind::default()],
         csv: false,
         json: None,
         assert_srrs_clean: false,
@@ -224,12 +206,6 @@ fn parse_args() -> Result<Options, String> {
                         .parse()
                         .map_err(|e| format!("--wide-trials: {e}"))?,
                 );
-            }
-            "--core" => {
-                opts.cores = list(value("--core")?)?
-                    .iter()
-                    .map(|s| parse_core(s))
-                    .collect::<Result<_, _>>()?;
             }
             "--checkpoint" => opts.cfg.checkpoint = Some(CheckpointConfig::default()),
             "--assert-srrs-clean" => opts.assert_srrs_clean = true,
@@ -382,14 +358,13 @@ fn main() -> ExitCode {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let mut opts = match parse_args() {
+    let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {
             eprintln!("campaign_matrix: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    opts.cfg.core = opts.cores[0];
     // `--json -` makes stdout the JSON document: silence every table.
     let quiet = opts.quiet || opts.json.as_deref() == Some("-");
     let reg = full_registry();
@@ -423,37 +398,6 @@ fn main() -> ExitCode {
             );
         }
         eprintln!("sweep wall time: {:.2}s", telemetry.wall_seconds);
-    }
-    // Determinism cross-check: every additional core re-runs the whole
-    // sweep and must reproduce the first core's result bit-for-bit.
-    for &core in &opts.cores[1..] {
-        let mut cross = opts.cfg.clone();
-        cross.core = core;
-        let other = match run_matrix(&reg, &cross) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("campaign_matrix: {core:?}-core sweep failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if other != m {
-            eprintln!(
-                "campaign_matrix: {core:?} core diverged from the {:?} core — the \
-                 bit-identical-cores contract is broken (run the cross_core test \
-                 for the first-divergence site)",
-                opts.cores[0]
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "campaign_matrix: {core:?} core reproduced the {:?}-core sweep bit-for-bit \
-             ({} workload cells, {} pipeline cells, {} wide cells, {} limp cells)",
-            opts.cores[0],
-            m.reports.len(),
-            m.pipeline_reports.len(),
-            m.wide_reports.len(),
-            m.limp_reports.len()
-        );
     }
     // Checkpointing cross-check: the suffix-replay engine must be
     // observationally invisible — re-run the whole sweep from zero and

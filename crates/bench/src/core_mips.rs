@@ -1,6 +1,5 @@
 //! Per-workload simulator throughput (sim-MIPS): how many simulated warp
-//! instructions the simulator retires per wall-clock second, measured for
-//! the stepping oracle and the event-queue core side by side.
+//! instructions the simulator's event loop retires per wall-clock second.
 //!
 //! Feeds the `core_mips` section of `BENCH_campaign.json` so core-loop
 //! performance is tracked PR over PR next to the campaign-engine
@@ -8,7 +7,7 @@
 //! with this same meter before the event-queue rework, making the
 //! before/after speedup a recorded artifact instead of a claim.
 
-use higpu_sim::config::{CoreKind, GpuConfig};
+use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::Gpu;
 use higpu_workloads::session::SoloSession;
 use higpu_workloads::{Scale, WorkloadRegistry};
@@ -49,16 +48,14 @@ pub const EVENT_BASELINE_MIPS: &[(&str, f64)] = &[
     ("streamcluster", 13.46),
 ];
 
-/// One workload's throughput under both cores.
+/// One workload's throughput.
 #[derive(Debug, Clone)]
 pub struct CoreMipsSample {
     /// Workload name (campaign scale).
     pub workload: String,
     /// Simulated warp instructions per run.
     pub instrs_per_run: u64,
-    /// Stepping-oracle throughput, best of the repeats.
-    pub stepping_mips: f64,
-    /// Event-core throughput, best of the repeats.
+    /// Event-loop throughput, best of the repeats.
     pub event_mips: f64,
     /// Seed-commit baseline on the reference host (stepping core), if
     /// recorded in [`SEED_BASELINE_MIPS`].
@@ -79,7 +76,7 @@ impl CoreMipsSample {
         self.event_baseline_mips.map(|s| self.event_mips / s)
     }
 
-    /// Wall-clock nanoseconds the event core spends per simulated warp
+    /// Wall-clock nanoseconds the event loop spends per simulated warp
     /// instruction — the interpreter-floor figure ROADMAP item 1 tracks
     /// (1 sim-MIPS ≡ 1000 ns per warp instruction).
     pub fn ns_per_warp_instr(&self) -> f64 {
@@ -87,12 +84,12 @@ impl CoreMipsSample {
     }
 }
 
-/// A full two-core throughput sweep.
+/// A full throughput sweep.
 #[derive(Debug, Clone)]
 pub struct CoreMipsResult {
-    /// Timed runs per (workload, core) repeat.
+    /// Timed runs per workload repeat.
     pub runs: u32,
-    /// Best-of repeats per (workload, core).
+    /// Best-of repeats per workload.
     pub repeats: u32,
     /// One sample per measured workload.
     pub samples: Vec<CoreMipsSample>,
@@ -106,12 +103,8 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(reg: &WorkloadRegistry, name: &str, core: CoreKind) -> Self {
-        let cfg = GpuConfig {
-            core,
-            ..GpuConfig::default()
-        };
-        let mut gpu = Gpu::new(cfg);
+    fn new(reg: &WorkloadRegistry, name: &str) -> Self {
+        let mut gpu = Gpu::new(GpuConfig::default());
         let workload = reg
             .build(name, Scale::Campaign)
             .unwrap_or_else(|| panic!("workload '{name}' not in registry"));
@@ -138,55 +131,18 @@ impl Rig {
     }
 }
 
-/// Measures `name` on both cores: `(instructions per run, stepping
-/// sim-MIPS, event sim-MIPS)`. The cores are interleaved at *run*
-/// granularity in ABBA order — stepping/event, event/stepping, … — so
-/// both accumulate time over adjacent millisecond slices of the same
-/// host-load window *and* neither core systematically inherits the
-/// other's cache wake (running second in a pair measurably flatters a
-/// core; strict alternation bakes that bias in, ABBA cancels it along
-/// with linear drift). A load burst then taxes both accumulators almost
-/// equally and cancels out of the ratio, where repeat-level interleaving
-/// still let a burst land entirely inside one core's timing window and
-/// flip the comparison. Of the `repeats` paired windows, the quietest
-/// (minimum total wall time) is reported — both cores from the *same*
-/// window, so best-of never un-pairs the numbers by crediting each core
-/// its own lucky repeat. The instruction count is exact and identical
-/// across cores (the bit-identical contract).
-fn measure_pair(reg: &WorkloadRegistry, name: &str, runs: u32, repeats: u32) -> (u64, f64, f64) {
-    let mut stepping = Rig::new(reg, name, CoreKind::Stepping);
-    let mut event = Rig::new(reg, name, CoreKind::Event);
-    assert_eq!(
-        stepping.instrs_per_run, event.instrs_per_run,
-        "{name}: cores disagree on instructions per run — bit-identity broken"
-    );
-    let instrs = (stepping.instrs_per_run * u64::from(runs)) as f64;
-    let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for _ in 0..repeats.max(1) {
-        let mut secs_stepping = 0.0f64;
-        let mut secs_event = 0.0f64;
-        for run in 0..runs {
-            if run % 2 == 0 {
-                secs_stepping += stepping.time_one_run();
-                secs_event += event.time_one_run();
-            } else {
-                secs_event += event.time_one_run();
-                secs_stepping += stepping.time_one_run();
-            }
-        }
-        let total = secs_stepping + secs_event;
-        if total < best.0 {
-            best = (total, secs_stepping, secs_event);
-        }
-    }
-    (
-        stepping.instrs_per_run,
-        instrs / best.1 / 1e6,
-        instrs / best.2 / 1e6,
-    )
+/// Measures `name`: `(instructions per run, sim-MIPS)`, from the quietest
+/// (minimum wall time) of `repeats` windows of `runs` back-to-back runs.
+fn measure(reg: &WorkloadRegistry, name: &str, runs: u32, repeats: u32) -> (u64, f64) {
+    let mut rig = Rig::new(reg, name);
+    let best = (0..repeats.max(1))
+        .map(|_| (0..runs).map(|_| rig.time_one_run()).sum::<f64>())
+        .fold(f64::INFINITY, f64::min);
+    let instrs = (rig.instrs_per_run * u64::from(runs)) as f64;
+    (rig.instrs_per_run, instrs / best / 1e6)
 }
 
-/// Measures every registered workload on both cores. Workloads in the
+/// Measures every registered workload. Workloads in the
 /// [`SEED_BASELINE_MIPS`] set additionally carry their seed-commit
 /// baseline; the rest entered the registry after the seed and have none.
 pub fn measure_core_mips(reg: &WorkloadRegistry, runs: u32, repeats: u32) -> CoreMipsResult {
@@ -202,11 +158,10 @@ pub fn measure_core_mips(reg: &WorkloadRegistry, runs: u32, repeats: u32) -> Cor
                 .iter()
                 .find(|&&(n, _)| n == name)
                 .map(|&(_, v)| v);
-            let (instrs, stepping, event) = measure_pair(reg, name, runs, repeats);
+            let (instrs, event) = measure(reg, name, runs, repeats);
             CoreMipsSample {
                 workload: name.to_string(),
                 instrs_per_run: instrs,
-                stepping_mips: stepping,
                 event_mips: event,
                 seed_mips,
                 event_baseline_mips,
@@ -221,18 +176,6 @@ pub fn measure_core_mips(reg: &WorkloadRegistry, runs: u32, repeats: u32) -> Cor
 }
 
 impl CoreMipsResult {
-    /// Workloads where the default (event) core measured slower than the
-    /// stepping oracle — the short-kernel regression the event loop's fused
-    /// wake pass exists to prevent. Timing-noise tolerant callers should
-    /// treat a persistent non-empty result as an event-core regression.
-    pub fn event_regressions(&self) -> Vec<&str> {
-        self.samples
-            .iter()
-            .filter(|s| s.event_mips < s.stepping_mips)
-            .map(|s| s.workload.as_str())
-            .collect()
-    }
-
     /// Geometric-mean event-core speedup over the recorded pre-decode
     /// baseline, across the workloads that have one ([`EVENT_BASELINE_MIPS`]).
     /// `None` when no sample carries a baseline.
@@ -257,13 +200,12 @@ impl CoreMipsResult {
             .map(|s| {
                 format!(
                     "{{\"workload\": \"{}\", \"instrs_per_run\": {}, \
-                     \"stepping_sim_mips\": {:.2}, \"event_sim_mips\": {:.2}, \
+                     \"event_sim_mips\": {:.2}, \
                      \"ns_per_warp_instr\": {:.1}, \
                      \"seed_sim_mips\": {}, \"event_speedup_vs_seed\": {}, \
                      \"pre_decode_event_sim_mips\": {}, \"event_speedup_vs_pre_decode\": {}}}",
                     s.workload,
                     s.instrs_per_run,
-                    s.stepping_mips,
                     s.event_mips,
                     s.ns_per_warp_instr(),
                     s.seed_mips
@@ -296,17 +238,16 @@ impl CoreMipsResult {
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "core sim-MIPS ({} runs, best of {}): workload  pre-decode -> stepping / event \
+            "core sim-MIPS ({} runs, best of {}): workload  pre-decode -> event \
              (speedup, ns/warp-instr)\n",
             self.runs, self.repeats
         ));
         for s in &self.samples {
             out.push_str(&format!(
-                "  {:>14}: {} -> {:.2} / {:.2} ({}, {:.1} ns)\n",
+                "  {:>14}: {} -> {:.2} ({}, {:.1} ns)\n",
                 s.workload,
                 s.event_baseline_mips
                     .map_or("n/a".to_string(), |v| format!("{v:.2}")),
-                s.stepping_mips,
                 s.event_mips,
                 s.speedup_vs_event_baseline()
                     .map_or("n/a".to_string(), |v| format!("{v:.2}x")),
@@ -340,7 +281,7 @@ mod tests {
         let mut event_baselines = 0;
         for s in &r.samples {
             assert!(s.instrs_per_run > 0, "{}: no instructions", s.workload);
-            assert!(s.stepping_mips > 0.0 && s.event_mips > 0.0);
+            assert!(s.event_mips > 0.0);
             assert!(s.ns_per_warp_instr() > 0.0);
             if let Some(speedup) = s.speedup_vs_seed() {
                 assert!(speedup > 0.0);

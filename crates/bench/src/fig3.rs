@@ -3,9 +3,9 @@
 //! Sec. IV-D.
 
 use higpu_core::classify::{classify, profile, KernelCategory};
-use higpu_rodinia::harness::{Benchmark, SessionError, SoloSession};
 use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::Gpu;
+use higpu_workloads::{SessionError, SoloSession, Workload};
 use std::collections::BTreeMap;
 
 /// Classification of one kernel of one benchmark.
@@ -35,7 +35,7 @@ pub struct Fig3Row {
 /// Propagates [`SessionError`] from the run.
 pub fn classify_benchmark(
     cfg: &GpuConfig,
-    bench: &dyn Benchmark,
+    bench: &dyn Workload,
 ) -> Result<Vec<Fig3Row>, SessionError> {
     let mut gpu = Gpu::new(cfg.clone());
     {

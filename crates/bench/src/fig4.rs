@@ -4,9 +4,9 @@
 use higpu_core::diversity::{analyze, DiversityRequirements};
 use higpu_core::metrics::redundant_kernel_cycles;
 use higpu_core::redundancy::{RedundancyMode, RedundantExecutor};
-use higpu_rodinia::harness::{Benchmark, RedundantSession, SessionError};
 use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::Gpu;
+use higpu_workloads::{RedundantSession, SessionError, Workload};
 
 /// One benchmark's Figure-4 measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,7 +43,7 @@ impl Fig4Row {
 /// Propagates [`SessionError`] from the benchmark.
 pub fn measure(
     cfg: &GpuConfig,
-    bench: &dyn Benchmark,
+    bench: &dyn Workload,
     mode: RedundancyMode,
 ) -> Result<(u64, bool), SessionError> {
     let mut gpu = Gpu::new(cfg.clone());
@@ -63,7 +63,7 @@ pub fn measure(
 /// # Errors
 ///
 /// Propagates [`SessionError`] from any run.
-pub fn run_benchmark(cfg: &GpuConfig, bench: &dyn Benchmark) -> Result<Fig4Row, SessionError> {
+pub fn run_benchmark(cfg: &GpuConfig, bench: &dyn Workload) -> Result<Fig4Row, SessionError> {
     let n = cfg.num_sms;
     let (default_cycles, d0) = measure(cfg, bench, RedundancyMode::uncontrolled())?;
     let (half_cycles, d1) = measure(cfg, bench, RedundancyMode::Half)?;

@@ -2,7 +2,7 @@
 //! baseline vs redundant-serialized.
 
 use higpu_cots::{run_baseline, run_redundant, CotsPlatform};
-use higpu_rodinia::harness::{Benchmark, SessionError};
+use higpu_workloads::{SessionError, Workload};
 
 /// One benchmark's Figure-5 measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +32,7 @@ impl Fig5Row {
 /// Propagates [`SessionError`] from either run.
 pub fn run_benchmark(
     platform: &CotsPlatform,
-    bench: &dyn Benchmark,
+    bench: &dyn Workload,
 ) -> Result<Fig5Row, SessionError> {
     let base = run_baseline(platform, bench)?;
     let red = run_redundant(platform, bench)?;

@@ -15,8 +15,8 @@
 //!   workload registry (full Rodinia suite included);
 //! * [`campaign_perf`] — campaign-engine throughput tracking (serial vs
 //!   parallel, recorded in `BENCH_campaign.json` together with the matrix);
-//! * [`core_mips`] — per-workload simulator throughput under the stepping
-//!   and event-queue cores, with the recorded seed baseline;
+//! * [`core_mips`] — per-workload simulator throughput, with the recorded
+//!   seed and pre-decode baselines;
 //! * [`table`] — plain-text/CSV rendering helpers shared by the binaries.
 
 #![warn(missing_docs)]

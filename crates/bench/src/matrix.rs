@@ -18,7 +18,7 @@ use higpu_pipeline::campaign::{
     PipelineCampaignReport, PipelineCampaignSpec,
 };
 use higpu_pipeline::{full_pipeline_registry, ExecMode};
-use higpu_sim::config::{CoreKind, GpuConfig};
+use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::Gpu;
 use higpu_telemetry::{CycleHistogram, ProgressLine};
 use higpu_workloads::runner::run_solo;
@@ -95,18 +95,13 @@ pub struct MatrixConfig {
     /// Trials per limp-home cell (`None` = half the pipeline trial
     /// count, rounded up — every trial is a whole multi-frame mission).
     pub limp_trials: Option<u32>,
-    /// Simulator core every campaign and solo-makespan device runs on.
-    /// Both cores are bit-identical by contract; sweeping the matrix once
-    /// per core and diffing the reports is the whole-artifact determinism
-    /// cross-check (`campaign_matrix --core stepping,event`).
-    pub core: CoreKind,
     /// Render a live progress line (cell granularity) to stderr while the
     /// sweep runs. Wall-clock display only — never feeds any report or
     /// the telemetry document.
     pub progress: bool,
     /// Checkpointed suffix-only replay for the workload campaign cells
     /// (standard and wide device; see `higpu_faults::checkpoint`). Like
-    /// `core` and `workers`, this must not change any report — sweeping
+    /// `workers`, this must not change any report — sweeping
     /// the matrix with and without and diffing is the checkpointing
     /// determinism cross-check (`campaign_matrix --checkpoint`). Pipeline
     /// and limp-home cells always run from zero (their engines drive
@@ -133,7 +128,6 @@ impl Default for MatrixConfig {
             wide_trials: None,
             limp_frames: 4,
             limp_trials: None,
-            core: CoreKind::default(),
             progress: false,
             checkpoint: None,
         }
@@ -1087,14 +1081,13 @@ pub fn run_matrix_with_telemetry(
     let mut progress = matrix_progress(cfg, names.len());
     let mut done = 0usize;
     let mut telemetry = MatrixTelemetry::default();
-    let mut campaign = CampaignConfig {
+    let campaign = CampaignConfig {
         trials: cfg.trials,
         seed: cfg.seed,
         workers: cfg.workers,
         checkpoint: cfg.checkpoint,
         ..CampaignConfig::default()
     };
-    campaign.gpu.core = cfg.core;
     // Solo (non-redundant) fault-free makespan per workload: the cost
     // baseline every redundant cell's overhead is measured against.
     let mut solo_makespans = Vec::with_capacity(names.len());
@@ -1213,7 +1206,7 @@ pub fn run_matrix_with_telemetry(
     let mut wide_solo_makespans = Vec::new();
     let mut wide_reports = Vec::new();
     if !cfg.wide_replica_counts.is_empty() {
-        let mut wide = CampaignConfig {
+        let wide = CampaignConfig {
             trials: cfg
                 .wide_trials
                 .unwrap_or_else(|| cfg.trials.div_ceil(2).max(1)),
@@ -1222,7 +1215,6 @@ pub fn run_matrix_with_telemetry(
             workers: cfg.workers,
             checkpoint: cfg.checkpoint,
         };
-        wide.gpu.core = cfg.core;
         for name in &names {
             let makespan = solo_makespan_on(reg, name, cfg.scale, &wide.gpu)?;
             wide_solo_makespans.push((name.clone(), makespan));
@@ -1282,7 +1274,7 @@ pub fn run_matrix_with_telemetry(
     let mut limp_reports = Vec::new();
     if cfg.limp_frames > 1 && !cfg.pipelines.is_empty() {
         let preg = full_pipeline_registry();
-        let mut limp = CampaignConfig {
+        let limp = CampaignConfig {
             trials: cfg
                 .limp_trials
                 .unwrap_or_else(|| cfg.pipeline_trials.unwrap_or(cfg.trials).div_ceil(2).max(1)),
@@ -1291,7 +1283,6 @@ pub fn run_matrix_with_telemetry(
             workers: cfg.workers,
             checkpoint: None,
         };
-        limp.gpu.core = cfg.core;
         for name in &cfg.pipelines {
             for &fault in &cfg.faults {
                 if matches!(fault, FaultSpec::Misroute) {

@@ -12,7 +12,7 @@ use crate::platform::CotsPlatform;
 use higpu_core::redundancy::{RedundancyMode, RedundantExecutor};
 use higpu_sim::gpu::Gpu;
 use higpu_workloads::{
-    RedundantSession, Scale, SessionError, SoloSession, Workload as Benchmark, WorkloadRegistry,
+    RedundantSession, Scale, SessionError, SoloSession, Workload, WorkloadRegistry,
 };
 
 /// Decomposition of one end-to-end run into cost sources (milliseconds).
@@ -117,7 +117,7 @@ fn breakdown(
 /// Propagates [`SessionError`] from the benchmark.
 pub fn run_baseline(
     platform: &CotsPlatform,
-    bench: &dyn Benchmark,
+    bench: &dyn Workload,
 ) -> Result<EndToEndResult, SessionError> {
     let mut gpu = Gpu::new(platform.gpu.clone());
     let (meter, cycles) = {
@@ -146,7 +146,7 @@ pub fn run_baseline(
 /// injection) is also surfaced as an error.
 pub fn run_redundant(
     platform: &CotsPlatform,
-    bench: &dyn Benchmark,
+    bench: &dyn Workload,
 ) -> Result<EndToEndResult, SessionError> {
     run_redundant_nmr(platform, bench, 2).map(|mut r| {
         r.variant = Variant::RedundantSerialized;
@@ -166,7 +166,7 @@ pub fn run_redundant(
 /// fault injection) is also surfaced as an error.
 pub fn run_redundant_nmr(
     platform: &CotsPlatform,
-    bench: &dyn Benchmark,
+    bench: &dyn Workload,
     replicas: u8,
 ) -> Result<EndToEndResult, SessionError> {
     let mut gpu = Gpu::new(platform.gpu.clone());

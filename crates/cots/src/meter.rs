@@ -95,10 +95,9 @@ impl GpuSession for MeteredSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use higpu_rodinia::harness::SoloSession;
-    use higpu_rodinia::Benchmark;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::{SoloSession, Workload};
 
     #[test]
     fn meter_counts_nn_traffic() {

@@ -10,7 +10,7 @@
 //!
 //! * **equivalence** — every trial of Transient and Droop campaigns over
 //!   several Rodinia workloads, from zero and checkpointed, at N = 2 and 3,
-//!   on both simulator cores, ends with the same outcome and observables as
+//!   ends with the same outcome and observables as
 //!   its full simulation, and at least one trial really exited early (it
 //!   simulated fewer cycles);
 //! * **deadline guard** — under a watchdog tighter than the fault-free
@@ -23,7 +23,6 @@ use higpu_faults::campaign::{
 };
 use higpu_faults::checkpoint::{record_reference, CheckpointConfig};
 use higpu_faults::workload::RedundantWorkload;
-use higpu_sim::config::CoreKind;
 use higpu_workloads::WorkloadRegistry;
 
 const FAULTS: [FaultSpec; 2] = [
@@ -40,20 +39,14 @@ fn registry() -> WorkloadRegistry {
 /// Runs every trial of one campaign cell through the early-exit entry point
 /// and through a full simulation, asserting they agree; returns how many
 /// trials exited early.
-fn exits_in_cell(
-    reg: &WorkloadRegistry,
-    spec: &CampaignSpec,
-    core: CoreKind,
-    checkpointed: bool,
-) -> u32 {
-    let mut cfg = CampaignConfig {
+fn exits_in_cell(reg: &WorkloadRegistry, spec: &CampaignSpec, checkpointed: bool) -> u32 {
+    let cfg = CampaignConfig {
         trials: 6,
         seed: 0x1E27,
         ..CampaignConfig::default()
     };
-    cfg.gpu.core = core;
     let label = format!(
-        "{}/{:?}@{}/{}/{core:?}/checkpointed={checkpointed}",
+        "{}/{:?}@{}/{}/checkpointed={checkpointed}",
         spec.workload,
         spec.policy,
         spec.replicas,
@@ -124,27 +117,14 @@ fn exits_in_cell(
 fn early_exit_trials_match_their_full_simulation() {
     let reg = registry();
     let mut exits = 0;
-    for name in ["hotspot", "pathfinder"] {
+    for name in ["hotspot", "pathfinder", "nw"] {
         for (policy, replicas) in [(PolicyKind::Srrs, 2), (PolicyKind::Slice, 3)] {
             for fault in FAULTS {
                 let spec = CampaignSpec::new(name, policy, fault).with_replicas(replicas);
                 for checkpointed in [false, true] {
-                    exits += exits_in_cell(&reg, &spec, CoreKind::Event, checkpointed);
+                    exits += exits_in_cell(&reg, &spec, checkpointed);
                 }
             }
-        }
-    }
-    assert!(exits > 0, "no trial exited early — the fence is vacuous");
-}
-
-#[test]
-fn early_exit_matches_full_simulation_on_the_stepping_core() {
-    let reg = registry();
-    let mut exits = 0;
-    for fault in FAULTS {
-        let spec = CampaignSpec::new("nw", PolicyKind::Srrs, fault);
-        for checkpointed in [false, true] {
-            exits += exits_in_cell(&reg, &spec, CoreKind::Stepping, checkpointed);
         }
     }
     assert!(exits > 0, "no trial exited early — the fence is vacuous");

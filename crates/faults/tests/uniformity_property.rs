@@ -15,8 +15,7 @@
 //!
 //! Random programs (uniform and divergent arithmetic, data-dependent
 //! branches, uniform/stride-1/gathered loads and stores, barriers) are run
-//! both ways under both warp-scheduler policies on both cores, across
-//! rand-shim seeds, with a mid-run corruption window. Everything observable
+//! both ways under both warp-scheduler policies, across rand-shim seeds, with a mid-run corruption window. Everything observable
 //! — the exhaustively stored register pool, scratch memory, cycle count,
 //! issue stream and statistics — must be bit-identical: a single falsely
 //! claimed-uniform row would splat lane 0 over divergent lanes (or emit the
@@ -24,12 +23,12 @@
 //!
 //! A second fence drives snapshot→restore→run through the same random
 //! programs, pausing mid-run so live uniformity bitmaps and decoded-program
-//! state cross the snapshot boundary on both cores.
+//! state cross the snapshot boundary.
 
 use higpu_faults::injector::{FaultInjector, InjectionCounters};
 use higpu_faults::model::FaultModel;
 use higpu_sim::builder::KernelBuilder;
-use higpu_sim::config::{CoreKind, GpuConfig, WarpSchedPolicy};
+use higpu_sim::config::{GpuConfig, WarpSchedPolicy};
 use higpu_sim::fault::{FaultCtx, FaultHook};
 use higpu_sim::gpu::Gpu;
 use higpu_sim::isa::{CmpOp, Reg};
@@ -200,10 +199,9 @@ fn gen_program(seed: u64) -> (Arc<Program>, Shape) {
     )
 }
 
-fn gpu_config(policy: WarpSchedPolicy, core: CoreKind) -> GpuConfig {
+fn gpu_config(policy: WarpSchedPolicy) -> GpuConfig {
     GpuConfig {
         warp_scheduler: policy,
-        core,
         ..GpuConfig::tiny_2sm()
     }
 }
@@ -262,43 +260,41 @@ fn uniformity_tracked_file_matches_exhaustive_materialization() {
     for seed in 0..16u64 {
         let (prog, shape) = gen_program(seed);
         for policy in [WarpSchedPolicy::Gto, WarpSchedPolicy::Lrr] {
-            for core in [CoreKind::Stepping, CoreKind::Event] {
-                // Fault-free makespan bounds the corruption window so the
-                // window closes mid-run and fast paths resume after it.
-                let clean = run(&prog, &shape, gpu_config(policy, core), None);
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xFEED);
-                let start = rng.gen_range(0..clean.makespan.max(2));
-                let duration = rng.gen_range(1..clean.makespan / 2 + 2);
-                let model = FaultModel::TransientSm {
-                    sm: rng.gen_range(0usize..2),
-                    start,
-                    duration,
-                    bit: rng.gen_range(0u8..32),
-                };
+            // Fault-free makespan bounds the corruption window so the
+            // window closes mid-run and fast paths resume after it.
+            let clean = run(&prog, &shape, gpu_config(policy), None);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xFEED);
+            let start = rng.gen_range(0..clean.makespan.max(2));
+            let duration = rng.gen_range(1..clean.makespan / 2 + 2);
+            let model = FaultModel::TransientSm {
+                sm: rng.gen_range(0usize..2),
+                start,
+                duration,
+                bit: rng.gen_range(0u8..32),
+            };
 
-                let fast_counters = InjectionCounters::shared();
-                let fast = run(
-                    &prog,
-                    &shape,
-                    gpu_config(policy, core),
-                    Some(Box::new(FaultInjector::new(model, fast_counters.clone()))),
-                );
-                let reference = run(
-                    &prog,
-                    &shape,
-                    gpu_config(policy, core),
-                    Some(Box::new(AlwaysArmed(FaultInjector::new(
-                        model,
-                        InjectionCounters::shared(),
-                    )))),
-                );
-                assert_eq!(
-                    fast, reference,
-                    "seed {seed} {policy:?} {core:?}: uniformity-tracked run diverged \
-                     from the exhaustively materialized reference"
-                );
-                any_corrupted |= fast_counters.activated();
-            }
+            let fast_counters = InjectionCounters::shared();
+            let fast = run(
+                &prog,
+                &shape,
+                gpu_config(policy),
+                Some(Box::new(FaultInjector::new(model, fast_counters.clone()))),
+            );
+            let reference = run(
+                &prog,
+                &shape,
+                gpu_config(policy),
+                Some(Box::new(AlwaysArmed(FaultInjector::new(
+                    model,
+                    InjectionCounters::shared(),
+                )))),
+            );
+            assert_eq!(
+                fast, reference,
+                "seed {seed} {policy:?}: uniformity-tracked run diverged \
+                 from the exhaustively materialized reference"
+            );
+            any_corrupted |= fast_counters.activated();
         }
     }
     assert!(
@@ -308,65 +304,60 @@ fn uniformity_tracked_file_matches_exhaustive_materialization() {
 }
 
 #[test]
-fn snapshot_restore_carries_uniformity_state_on_both_cores() {
+fn snapshot_restore_carries_uniformity_state() {
     for seed in 0..6u64 {
         let (prog, shape) = gen_program(seed);
-        for core in [CoreKind::Stepping, CoreKind::Event] {
-            let cfg = gpu_config(WarpSchedPolicy::Gto, core);
-            let straight = run(&prog, &shape, cfg.clone(), None);
+        let cfg = gpu_config(WarpSchedPolicy::Gto);
+        let straight = run(&prog, &shape, cfg.clone(), None);
 
-            // Re-drive the same launch, pause mid-run (live warps hold
-            // partially-uniform register files), snapshot, and finish both
-            // by resuming and by restoring into a bare device.
-            let total = shape.total();
-            let mut gpu = Gpu::new(cfg.clone());
-            gpu.set_issue_log(true);
-            let scratch = gpu.alloc_words(total).expect("alloc scratch");
-            let out = gpu
-                .alloc_words(total * shape.pool as u32)
-                .expect("alloc out");
-            let init: Vec<u32> = (0..total).map(|i| i.wrapping_mul(2_654_435_761)).collect();
-            gpu.write_u32(scratch, &init);
-            gpu.launch(KernelLaunch::new(
-                prog.clone(),
-                LaunchConfig::new(shape.blocks, shape.tpb)
-                    .param_u32(scratch.0)
-                    .param_u32(out.0),
-            ))
-            .expect("launch");
-            gpu.run_to_cycle(straight.makespan / 2).expect("pause");
-            let snap = gpu.snapshot();
+        // Re-drive the same launch, pause mid-run (live warps hold
+        // partially-uniform register files), snapshot, and finish both
+        // by resuming and by restoring into a bare device.
+        let total = shape.total();
+        let mut gpu = Gpu::new(cfg.clone());
+        gpu.set_issue_log(true);
+        let scratch = gpu.alloc_words(total).expect("alloc scratch");
+        let out = gpu
+            .alloc_words(total * shape.pool as u32)
+            .expect("alloc out");
+        let init: Vec<u32> = (0..total).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        gpu.write_u32(scratch, &init);
+        gpu.launch(KernelLaunch::new(
+            prog.clone(),
+            LaunchConfig::new(shape.blocks, shape.tpb)
+                .param_u32(scratch.0)
+                .param_u32(out.0),
+        ))
+        .expect("launch");
+        gpu.run_to_cycle(straight.makespan / 2).expect("pause");
+        let snap = gpu.snapshot();
 
-            gpu.run_to_idle().expect("resume");
-            let resumed = RunOut {
-                makespan: gpu.cycle(),
-                issues: gpu.drain_issue_log(),
-                stats: gpu.stats(),
-                trace: gpu.trace().clone(),
-                scratch: gpu.read_u32(scratch, total as usize),
-                out: gpu.read_u32(out, (total * shape.pool as u32) as usize),
-            };
-            assert_eq!(
-                resumed, straight,
-                "seed {seed} {core:?}: pause perturbed run"
-            );
+        gpu.run_to_idle().expect("resume");
+        let resumed = RunOut {
+            makespan: gpu.cycle(),
+            issues: gpu.drain_issue_log(),
+            stats: gpu.stats(),
+            trace: gpu.trace().clone(),
+            scratch: gpu.read_u32(scratch, total as usize),
+            out: gpu.read_u32(out, (total * shape.pool as u32) as usize),
+        };
+        assert_eq!(resumed, straight, "seed {seed}: pause perturbed run");
 
-            let mut fresh = Gpu::new(cfg);
-            fresh.restore(&snap);
-            fresh.run_to_idle().expect("restored run");
-            let restored = RunOut {
-                makespan: fresh.cycle(),
-                issues: fresh.drain_issue_log(),
-                stats: fresh.stats(),
-                trace: fresh.trace().clone(),
-                scratch: fresh.read_u32(scratch, total as usize),
-                out: fresh.read_u32(out, (total * shape.pool as u32) as usize),
-            };
-            assert_eq!(
-                restored, straight,
-                "seed {seed} {core:?}: snapshot→restore→run diverged through the \
-                 uniformity-tracked representation"
-            );
-        }
+        let mut fresh = Gpu::new(cfg);
+        fresh.restore(&snap);
+        fresh.run_to_idle().expect("restored run");
+        let restored = RunOut {
+            makespan: fresh.cycle(),
+            issues: fresh.drain_issue_log(),
+            stats: fresh.stats(),
+            trace: fresh.trace().clone(),
+            scratch: fresh.read_u32(scratch, total as usize),
+            out: fresh.read_u32(out, (total * shape.pool as u32) as usize),
+        };
+        assert_eq!(
+            restored, straight,
+            "seed {seed}: snapshot→restore→run diverged through the \
+             uniformity-tracked representation"
+        );
     }
 }

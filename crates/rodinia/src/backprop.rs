@@ -6,12 +6,14 @@
 //! `w[i][j] += lr · δ[j] · in[i]`.
 
 use crate::data;
-use crate::harness::{f32s_to_words, Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    f32s_to_words, register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload,
+    WorkloadRegistry,
+};
 use std::sync::Arc;
 
 /// Backpropagation benchmark.
@@ -113,7 +115,7 @@ impl Backprop {
     }
 }
 
-impl Benchmark for Backprop {
+impl Workload for Backprop {
     fn name(&self) -> &'static str {
         "backprop"
     }
@@ -231,9 +233,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Backprop {
         Backprop {

@@ -6,12 +6,13 @@
 //! host read between iterations (paper category: short).
 
 use crate::data;
-use crate::harness::{Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload, WorkloadRegistry,
+};
 use std::sync::Arc;
 
 /// BFS benchmark.
@@ -116,7 +117,7 @@ impl Bfs {
     }
 }
 
-impl Benchmark for Bfs {
+impl Workload for Bfs {
     fn name(&self) -> &'static str {
         "bfs"
     }
@@ -250,9 +251,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Bfs {
         Bfs {

@@ -7,12 +7,14 @@
 //! execution: one of the two benchmarks whose end-to-end time the paper
 //! shows is visibly hurt by redundancy (Fig. 5).
 
-use crate::harness::{f32s_to_words, Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    f32s_to_words, register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload,
+    WorkloadRegistry,
+};
 use std::sync::Arc;
 
 const GAMMA: f32 = 1.4;
@@ -198,7 +200,7 @@ impl Cfd {
     }
 }
 
-impl Benchmark for Cfd {
+impl Workload for Cfd {
     fn name(&self) -> &'static str {
         "cfd"
     }
@@ -294,9 +296,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Cfd {
         Cfd {

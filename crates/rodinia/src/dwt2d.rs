@@ -5,12 +5,14 @@
 //! category: friendly).
 
 use crate::data;
-use crate::harness::{f32s_to_words, Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    f32s_to_words, register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload,
+    WorkloadRegistry,
+};
 use std::sync::Arc;
 
 const INV_SQRT2: f32 = std::f32::consts::FRAC_1_SQRT_2;
@@ -113,7 +115,7 @@ impl Dwt2d {
     }
 }
 
-impl Benchmark for Dwt2d {
+impl Workload for Dwt2d {
     fn name(&self) -> &'static str {
         "dwt2d"
     }
@@ -235,9 +237,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Dwt2d {
         Dwt2d {

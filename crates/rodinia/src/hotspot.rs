@@ -5,12 +5,14 @@
 //! friendly).
 
 use crate::data;
-use crate::harness::{f32s_to_words, Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    f32s_to_words, register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload,
+    WorkloadRegistry,
+};
 use std::sync::Arc;
 
 /// Hotspot benchmark.
@@ -145,7 +147,7 @@ impl Hotspot {
     }
 }
 
-impl Benchmark for Hotspot {
+impl Workload for Hotspot {
     fn name(&self) -> &'static str {
         "hotspot"
     }
@@ -234,9 +236,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Hotspot {
         Hotspot {

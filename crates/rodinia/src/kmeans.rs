@@ -5,12 +5,13 @@
 //! device/host split as the original (paper category: friendly/short).
 
 use crate::data;
-use crate::harness::{Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload, WorkloadRegistry,
+};
 use std::sync::Arc;
 
 /// K-means benchmark.
@@ -149,7 +150,7 @@ impl Kmeans {
     }
 }
 
-impl Benchmark for Kmeans {
+impl Workload for Kmeans {
     fn name(&self) -> &'static str {
         "kmeans"
     }
@@ -237,9 +238,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Kmeans {
         Kmeans {

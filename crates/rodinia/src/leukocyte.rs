@@ -6,12 +6,14 @@
 //! floating point (paper category: friendly, long kernels).
 
 use crate::data;
-use crate::harness::{f32s_to_words, Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    f32s_to_words, register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload,
+    WorkloadRegistry,
+};
 use std::sync::Arc;
 
 /// Sample points per direction.
@@ -181,7 +183,7 @@ impl Leukocyte {
     }
 }
 
-impl Benchmark for Leukocyte {
+impl Workload for Leukocyte {
     fn name(&self) -> &'static str {
         "leukocyte"
     }
@@ -275,9 +277,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Leukocyte {
         Leukocyte { size: 24 }

@@ -2,7 +2,7 @@
 //!
 //! Re-implementations of the Rodinia heterogeneous-computing benchmarks used
 //! in the paper's evaluation, each with a deterministic input generator, a
-//! GPU host program written against [`harness::GpuSession`] (so the same
+//! GPU host program written against [`higpu_workloads::GpuSession`] (so the same
 //! code runs solo or redundantly), and a CPU reference implementation.
 
 #![warn(missing_docs)]
@@ -14,7 +14,6 @@ pub mod cfd;
 pub mod data;
 pub mod dwt2d;
 pub mod gaussian;
-pub mod harness;
 pub mod hotspot;
 pub mod hotspot3d;
 pub mod kmeans;
@@ -27,9 +26,7 @@ pub mod pathfinder;
 pub mod srad;
 pub mod streamcluster;
 
-pub use harness::{Benchmark, GpuSession, RedundantSession, SessionError, SoloSession};
-
-use higpu_workloads::WorkloadRegistry;
+use higpu_workloads::{Workload, WorkloadRegistry};
 
 /// Registers every Rodinia benchmark in `reg` (name → factory, with
 /// [`higpu_workloads::Scale`] selecting paper-sized or campaign-sized
@@ -62,7 +59,7 @@ pub fn registry() -> WorkloadRegistry {
 }
 
 /// All implemented benchmarks at their default (paper-scaled) sizes.
-pub fn all_benchmarks() -> Vec<Box<dyn Benchmark>> {
+pub fn all_benchmarks() -> Vec<Box<dyn Workload>> {
     vec![
         Box::new(backprop::Backprop::default()),
         Box::new(bfs::Bfs::default()),
@@ -84,7 +81,7 @@ pub fn all_benchmarks() -> Vec<Box<dyn Benchmark>> {
 }
 
 /// The Figure 4 subset of the paper (simulator experiment).
-pub fn fig4_benchmarks() -> Vec<Box<dyn Benchmark>> {
+pub fn fig4_benchmarks() -> Vec<Box<dyn Workload>> {
     const FIG4: [&str; 11] = [
         "backprop",
         "bfs",
@@ -105,14 +102,14 @@ pub fn fig4_benchmarks() -> Vec<Box<dyn Benchmark>> {
 }
 
 /// Looks a benchmark up by its paper name.
-pub fn by_name(name: &str) -> Option<Box<dyn Benchmark>> {
+pub fn by_name(name: &str) -> Option<Box<dyn Workload>> {
     all_benchmarks().into_iter().find(|b| b.name() == name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use higpu_workloads::Scale;
+    use higpu_workloads::{Scale, SoloSession};
 
     #[test]
     fn registry_names_match_workload_names_at_both_scales() {
@@ -139,7 +136,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x40D1_141A);
         for _ in 0..3 {
             let threads_per_block = 1 << rng.gen_range(5..8u32);
-            let benches: [Box<dyn Benchmark>; 4] = [
+            let benches: [Box<dyn Workload>; 4] = [
                 Box::new(pathfinder::Pathfinder {
                     cols: rng.gen_range(16..512),
                     rows: rng.gen_range(2..12),

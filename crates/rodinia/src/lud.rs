@@ -7,12 +7,14 @@
 //! the paper's worst-case HALF overhead (~10%).
 
 use crate::data;
-use crate::harness::{f32s_to_words, Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    f32s_to_words, register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload,
+    WorkloadRegistry,
+};
 use std::sync::Arc;
 
 const BS: u32 = 16;
@@ -206,7 +208,7 @@ impl Lud {
     }
 }
 
-impl Benchmark for Lud {
+impl Workload for Lud {
     fn name(&self) -> &'static str {
         "lud"
     }
@@ -346,9 +348,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Lud {
         Lud { n: 48 }

@@ -6,11 +6,13 @@
 //! kernel, very few blocks — the paper's poster child for SRRS overhead
 //! (~2× under serialization, ~1× under HALF).
 
-use crate::harness::{f32s_to_words, Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    f32s_to_words, register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload,
+    WorkloadRegistry,
+};
 use std::sync::Arc;
 
 /// Myocyte benchmark.
@@ -83,7 +85,7 @@ impl Myocyte {
     }
 }
 
-impl Benchmark for Myocyte {
+impl Workload for Myocyte {
     fn name(&self) -> &'static str {
         "myocyte"
     }
@@ -175,9 +177,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Myocyte {
         Myocyte {

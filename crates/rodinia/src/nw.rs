@@ -7,12 +7,13 @@
 //! launches).
 
 use crate::data;
-use crate::harness::{Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload, WorkloadRegistry,
+};
 use std::sync::Arc;
 
 const BS: u32 = 16;
@@ -117,7 +118,7 @@ impl Nw {
     }
 }
 
-impl Benchmark for Nw {
+impl Workload for Nw {
     fn name(&self) -> &'static str {
         "nw"
     }
@@ -205,9 +206,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Nw {
         Nw { n: 48, penalty: 5 }

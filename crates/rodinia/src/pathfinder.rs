@@ -5,12 +5,13 @@
 //! Exact integer arithmetic; many short dependent launches.
 
 use crate::data;
-use crate::harness::{Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload, WorkloadRegistry,
+};
 use std::sync::Arc;
 
 /// Pathfinder benchmark.
@@ -74,7 +75,7 @@ impl Pathfinder {
     }
 }
 
-impl Benchmark for Pathfinder {
+impl Workload for Pathfinder {
     fn name(&self) -> &'static str {
         "pathfinder"
     }
@@ -163,9 +164,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Pathfinder {
         Pathfinder {

@@ -7,12 +7,14 @@
 //! paper singles out in Fig. 5 as visibly hurt by redundancy.
 
 use crate::data;
-use crate::harness::{f32s_to_words, Benchmark, GpuSession, SParam, SessionError, Tolerance};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::isa::CmpOp;
 use higpu_sim::kernel::Dim3;
 use higpu_sim::program::Program;
-use higpu_workloads::{register_scaled, WorkloadRegistry};
+use higpu_workloads::{
+    f32s_to_words, register_scaled, GpuSession, SParam, SessionError, Tolerance, Workload,
+    WorkloadRegistry,
+};
 use std::sync::Arc;
 
 /// Streamcluster benchmark.
@@ -94,7 +96,7 @@ impl Streamcluster {
     }
 }
 
-impl Benchmark for Streamcluster {
+impl Workload for Streamcluster {
     fn name(&self) -> &'static str {
         "streamcluster"
     }
@@ -187,9 +189,9 @@ pub fn register(reg: &mut WorkloadRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SoloSession;
     use higpu_sim::config::GpuConfig;
     use higpu_sim::gpu::Gpu;
+    use higpu_workloads::SoloSession;
 
     fn small() -> Streamcluster {
         Streamcluster {

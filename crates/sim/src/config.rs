@@ -15,29 +15,6 @@ pub enum WarpSchedPolicy {
     Lrr,
 }
 
-/// Which main-loop implementation [`crate::gpu::Gpu::run_until`] uses.
-///
-/// Both cores produce **bit-identical** traces, statistics and memory
-/// images: the event core visits exactly the cycles the stepping core
-/// visits and invokes the (stateful) scheduler policy at exactly the same
-/// points — it merely skips the per-event work that the stepping core
-/// proves is a no-op (SMs with no warp ready at the current cycle, per-step
-/// rescans of the kernel queue). The stepping core is retained as the
-/// cross-validation oracle; `tests/cross_core.rs` diffs the two per issued
-/// instruction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CoreKind {
-    /// Two-level event-queue core (the default): a device-level wake queue
-    /// visits only SMs with a warp ready at the current cycle, and kernel
-    /// arrivals are scheduled events instead of per-step scans.
-    #[default]
-    Event,
-    /// The original exhaustive core: every SM is offered an issue slot at
-    /// every visited cycle. Kept as the oracle for determinism
-    /// cross-checks (`--core stepping`).
-    Stepping,
-}
-
 /// Timing parameters (in GPU core cycles) for the execution pipelines and
 /// memory hierarchy.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,8 +114,6 @@ pub struct GpuConfig {
     pub schedulers_per_sm: usize,
     /// Warp scheduling policy within each SM.
     pub warp_scheduler: WarpSchedPolicy,
-    /// Main-loop implementation (event-queue core vs. stepping oracle).
-    pub core: CoreKind,
     /// Size of the device global memory in bytes.
     pub global_mem_bytes: usize,
     /// Cycles between consecutive kernel arrivals at the GPU front-end
@@ -179,7 +154,6 @@ impl GpuConfig {
             shared_mem_per_sm: 48 * 1024,
             schedulers_per_sm: 2,
             warp_scheduler: WarpSchedPolicy::Gto,
-            core: CoreKind::Event,
             global_mem_bytes: 64 * 1024 * 1024,
             dispatch_gap_cycles: 7000, // ~5 us at 1.4 GHz
             clock_ghz: 1.4,
@@ -342,15 +316,5 @@ mod tests {
         let mut cfg = GpuConfig::paper_6sm();
         cfg.max_warps_per_sm = 65;
         assert!(cfg.validate().is_err(), "ready masks are 64 bits wide");
-    }
-
-    #[test]
-    fn event_core_is_the_default_with_stepping_as_oracle() {
-        assert_eq!(GpuConfig::default().core, CoreKind::Event);
-        assert_eq!(CoreKind::default(), CoreKind::Event);
-        let mut cfg = GpuConfig::paper_6sm();
-        cfg.core = CoreKind::Stepping;
-        cfg.validate()
-            .expect("oracle core is a valid configuration");
     }
 }

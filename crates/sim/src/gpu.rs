@@ -3,7 +3,7 @@
 //! scheduler policy.
 
 use crate::block::{BlockDims, BlockState};
-use crate::config::{CoreKind, GpuConfig};
+use crate::config::GpuConfig;
 use crate::fault::{FaultHook, NoFaults};
 use crate::kernel::{BlockFootprint, KernelId, KernelLaunch, LaunchAttrs};
 use crate::mem::system::MemorySystem;
@@ -171,8 +171,8 @@ struct SchedScratch {
 /// Produced by [`Gpu::snapshot`] and applied by [`Gpu::restore`]. Restoring
 /// a snapshot and running to idle is **bit-identical** — same
 /// [`IssueRecord`] stream, statistics and trace — to running straight
-/// through, on either device core (snapshots carry no core-specific state;
-/// the event core rebuilds its queues on entry).
+/// through (snapshots carry no run-loop state; the loop rebuilds its
+/// queues on entry).
 ///
 /// Deliberately *not* captured:
 ///
@@ -304,13 +304,14 @@ pub struct Gpu {
     /// Cycles fast-forwarded by those restores (target minus pre-restore
     /// clock, forward jumps only) — the work checkpointed replay skipped.
     restore_skipped_cycles: u64,
-    // ---- event-core state ([`CoreKind::Event`]) ------------------------------
+    // ---- run-loop state ([`Gpu::run_loop`]) ----------------------------------
     // Rebuilt from scratch on every `run_until` entry, so launches, resets,
     // cancellations and quarantines between runs need no event bookkeeping.
     // All containers retain capacity across runs.
     /// Future kernel arrivals `(arrival, kernel id)`, min-heap. Non-empty
-    /// iff some unfinished kernel has `arrival > cycle` — exactly the
-    /// stepping core's per-iteration "future arrival" re-dirty condition.
+    /// iff some unfinished kernel has `arrival > cycle`, the condition that
+    /// keeps the scheduler dirty (`debug_assert`-checked against the kernel
+    /// scan every advance).
     arrivals: BinaryHeap<Reverse<(u64, u64)>>,
     /// Incremental mirror of [`Gpu::pending_blocks`]: credited when an
     /// arrival matures, debited per dispatched block
@@ -318,13 +319,13 @@ pub struct Gpu {
     arrived_pending: u32,
     /// Count of launched-but-unfinished kernels, maintained across every
     /// launch/complete/cancel/restore transition so [`Gpu::is_idle`] — on
-    /// the event core's hot path twice per visited cycle — is one compare
+    /// the run loop's hot path twice per visited cycle — is one compare
     /// instead of an O(kernels) scan (a many-launch run keeps dozens of
     /// finished kernels in the table). `debug_assert`-checked against the
     /// exhaustive scan on every [`Gpu::is_idle`] call.
     live_kernels: usize,
     /// Flat mirror of every SM's [`Sm::next_ready_at`], rebuilt on entry to
-    /// the event core and refreshed after each issue / scheduling
+    /// the run loop and refreshed after each issue / scheduling
     /// round. The per-visit due-SM scan reads this one contiguous row
     /// instead of chasing a cache line into each (large) [`Sm`] struct —
     /// most visits wake only one or two of the SMs but must compare all of
@@ -1042,6 +1043,17 @@ impl Gpu {
             .sum()
     }
 
+    /// The earliest arrival among unfinished kernels still in the future:
+    /// the exhaustive derivation the run loop's `arrivals` heap is checked
+    /// against.
+    fn next_arrival_scan(&self) -> Option<u64> {
+        self.kernels
+            .iter()
+            .filter(|k| !k.is_finished() && k.arrival > self.cycle)
+            .map(|k| k.arrival)
+            .min()
+    }
+
     /// Runs one scheduling round: consults the policy and dispatches the
     /// committed assignments (subject to fault-hook rerouting).
     ///
@@ -1114,10 +1126,9 @@ impl Gpu {
             }
             let kr = &mut self.kernels[k];
             kr.blocks_issued += 1;
-            // Event-core pending mirror: one arrived block left the pending
-            // pool. Saturating because the stepping core never initializes
-            // the counter.
-            self.arrived_pending = self.arrived_pending.saturating_sub(1);
+            // One arrived block left the pending pool: policies see only
+            // arrived kernels, and every caller initialises the mirror.
+            self.arrived_pending -= 1;
             let rec = &mut self.trace.kernels[kr.record];
             if rec.first_dispatch.is_none() {
                 rec.first_dispatch = Some(self.cycle);
@@ -1162,6 +1173,7 @@ impl Gpu {
     pub fn debug_scheduler_round(&mut self) -> u32 {
         let latest_arrival = self.kernels.iter().map(|k| k.arrival).max().unwrap_or(0);
         self.cycle = self.cycle.max(latest_arrival);
+        self.arrived_pending = self.pending_blocks();
         self.run_scheduler();
         self.pending_blocks()
     }
@@ -1225,17 +1237,14 @@ impl Gpu {
     ///
     /// As [`Gpu::run_to_idle`].
     pub fn run_until(&mut self, done: impl FnMut(&Gpu) -> bool) -> Result<u64, SimError> {
-        match self.cfg.core {
-            CoreKind::Event => self.run_until_event(done, None),
-            CoreKind::Stepping => self.run_until_stepping(done, None),
-        }
+        self.run_loop(done, None)
     }
 
     /// Advances the simulation up to (but not into) cycle `target`, pausing
     /// at the first event cycle `>= target`, and returns whether the device
     /// went idle before reaching it.
     ///
-    /// The pause is taken at the very top of a core-loop iteration — before
+    /// The pause is taken at the very top of a run-loop iteration — before
     /// the watchdog check, arrival maturation and the scheduling round — so
     /// a paused run resumed with [`Gpu::run_to_idle`] (or further
     /// [`Gpu::run_to_cycle`] calls) is **bit-identical** to a straight run:
@@ -1248,148 +1257,37 @@ impl Gpu {
     /// As [`Gpu::run_to_idle`] (a watchdog or stall *before* `target` is
     /// still reported).
     pub fn run_to_cycle(&mut self, target: u64) -> Result<bool, SimError> {
-        match self.cfg.core {
-            CoreKind::Event => self.run_until_event(|_| false, Some(target))?,
-            CoreKind::Stepping => self.run_until_stepping(|_| false, Some(target))?,
-        };
+        self.run_loop(|_| false, Some(target))?;
         Ok(self.is_idle())
     }
 
-    /// The original stepping core: every iteration issues on **all** SMs at
-    /// the current cycle (non-ready SMs no-op) and re-derives the next event
-    /// time by scanning every SM and kernel. Kept verbatim behind
-    /// [`CoreKind::Stepping`] as the cross-validation oracle for the
-    /// event-driven core.
-    fn run_until_stepping(
-        &mut self,
-        mut done: impl FnMut(&Gpu) -> bool,
-        pause_at: Option<u64>,
-    ) -> Result<u64, SimError> {
-        if done(self) {
-            return Ok(self.cycle);
-        }
-        let mut completions = std::mem::take(&mut self.sched.completions);
-        while !self.is_idle() {
-            // Pause point ([`Gpu::run_to_cycle`]): checked before any work
-            // at this cycle — watchdog included — so resuming replays the
-            // iteration exactly as a straight run would have executed it.
-            if pause_at.is_some_and(|t| self.cycle >= t) {
-                break;
-            }
-            // Watchdog: the clock strictly advances every iteration, so a
-            // runaway kernel (e.g. a fault-corrupted loop counter) is cut
-            // off deterministically at the configured limit.
-            if let Some(limit) = self.cycle_limit {
-                if self.cycle > limit {
-                    self.sched.completions = completions;
-                    return Err(SimError::DeadlineExceeded {
-                        cycle: self.cycle,
-                        limit,
-                    });
-                }
-            }
-            if self.cycle >= self.inert_cutoff {
-                if let Some(e) = self.inert_exit() {
-                    self.sched.completions = completions;
-                    return Err(e);
-                }
-            }
-            // Scheduling round (cheap when nothing changed).
-            if self.sched_dirty {
-                self.sched_dirty = false;
-                self.run_scheduler();
-            }
-
-            // Issue on every SM at the current cycle.
-            completions.clear();
-            for sm in &mut self.sms {
-                sm.issue(
-                    self.cycle,
-                    &mut self.mem,
-                    &mut self.dirty_hi,
-                    &mut self.memsys,
-                    self.fault.as_mut(),
-                    self.fault_enabled,
-                    &mut completions,
-                );
-            }
-            for c in completions.drain(..) {
-                self.process_completion(c);
-            }
-            if self.is_idle() || done(self) {
-                break;
-            }
-
-            // Advance to the next event.
-            let mut next = u64::MAX;
-            for sm in &self.sms {
-                next = next.min(sm.next_ready_at());
-            }
-            for k in &self.kernels {
-                if !k.is_finished() && k.arrival > self.cycle {
-                    next = next.min(k.arrival);
-                    self.sched_dirty = true;
-                }
-            }
-            if self.sched_dirty && self.pending_blocks() > 0 {
-                next = next.min(self.cycle + 1);
-            }
-            if next == u64::MAX {
-                // Quiescent but unfinished: one last scheduling chance, then
-                // report a stall. If the retry admitted work, jump straight
-                // to its issue cycle — re-entering the loop at the *same*
-                // cycle could re-run the scheduler forever without advancing
-                // time under a pathological policy that keeps the device
-                // quiescent (e.g. admits work some other hook immediately
-                // revokes), so every pass through this branch must strictly
-                // advance the clock or terminate.
-                self.run_scheduler();
-                let ready = self
-                    .sms
-                    .iter()
-                    .map(Sm::next_ready_at)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                if ready == u64::MAX {
-                    self.sched.completions = completions;
-                    return Err(SimError::Stalled {
-                        cycle: self.cycle,
-                        pending_blocks: self.pending_blocks(),
-                    });
-                }
-                self.cycle = ready.max(self.cycle + 1);
-                continue;
-            }
-            self.cycle = next.max(self.cycle + 1);
-        }
-        self.sched.completions = completions;
-        Ok(self.cycle)
-    }
-
-    /// The event-driven core ([`CoreKind::Event`]): kernel arrivals are
-    /// heap events and the pending-block count is mirrored incrementally
-    /// (its wins over stepping), while due-SM collection and the advance
-    /// rule are flat scans over a per-SM wake-time cache — O(SMs) per
-    /// visited cycle with no queue maintenance at all.
+    /// The simulator's run loop. Each iteration visits one event cycle:
+    /// pause point, watchdog, inert cutoff, arrival maturation, scheduling
+    /// round, issue on every due SM in ascending id order (the shared
+    /// memory system is order-sensitive), completions, then the advance to
+    /// the next event cycle.
     ///
-    /// Bit-identical to [`Gpu::run_until_stepping`] by construction:
+    /// Three incremental structures spare each visited cycle an exhaustive
+    /// rescan. Each is `debug_assert`-checked against that rescan on every
+    /// iteration, so every debug-build run (all tier-1 tests) re-derives
+    /// the schedule the exhaustive way and compares:
     ///
-    /// * it visits the same cycle sequence — the advance rule computes the
-    ///   same `next` from the wake cache and the arrival heap that the
-    ///   stepping core derives by exhaustive scan;
-    /// * skipped SMs are exactly those for which the stepping core's
-    ///   [`Sm::issue`] is a provable no-op (no warp issuable at `now`);
-    /// * due SMs issue in ascending id order, the stepping core's visit
-    ///   order (the shared memory system is order-sensitive);
-    /// * scheduling rounds run under the same `sched_dirty` protocol, so
-    ///   the (stateful) kernel scheduler policy observes the identical
-    ///   sequence of views.
+    /// * `arrivals`: the heap minimum equals the earliest future arrival
+    ///   of an unfinished kernel ([`Gpu::next_arrival_scan`]), both `None`
+    ///   when there is none;
+    /// * `arrived_pending`: equals [`Gpu::pending_blocks`];
+    /// * `flat_wakes`: each entry equals its SM's [`Sm::next_ready_at`]
+    ///   (itself checked against a warp scan), and the minimum fused into
+    ///   the issue pass equals the minimum over all SMs after completions.
     ///
-    /// All event state is rebuilt on entry, so host-side mutations between
+    /// Skipped SMs are exactly those for which [`Sm::issue`] would be a
+    /// no-op (no warp issuable at `now`), and scheduling rounds run under
+    /// the `sched_dirty` protocol, so the (stateful) kernel scheduler
+    /// policy observes a fixed sequence of views.
+    ///
+    /// All loop state is rebuilt on entry, so host-side mutations between
     /// runs (launch, reset, cancel, quarantine) need no event bookkeeping.
-    /// Fenced against the stepping oracle by `tests/cross_core.rs` and, on a
-    /// 40-SM device, by `crates/sim/tests/snapshot_restore.rs`.
-    fn run_until_event(
+    fn run_loop(
         &mut self,
         mut done: impl FnMut(&Gpu) -> bool,
         pause_at: Option<u64>,
@@ -1410,9 +1308,15 @@ impl Gpu {
 
         let mut completions = std::mem::take(&mut self.sched.completions);
         while !self.is_idle() {
+            // Pause point ([`Gpu::run_to_cycle`]): checked before any work
+            // at this cycle — watchdog included — so resuming replays the
+            // iteration exactly as a straight run would have executed it.
             if pause_at.is_some_and(|t| self.cycle >= t) {
                 break;
             }
+            // Watchdog: the clock strictly advances every iteration, so a
+            // runaway kernel (e.g. a fault-corrupted loop counter) is cut
+            // off deterministically at the configured limit.
             if let Some(limit) = self.cycle_limit {
                 if self.cycle > limit {
                     self.sched.completions = completions;
@@ -1459,9 +1363,9 @@ impl Gpu {
             // the advance ([`Gpu::process_completion`], `done`) mutates SM
             // state: a skipped SM's wake is its cached value, an issued
             // SM's is re-read right after it issues — exactly what a
-            // post-completion scan would see. On dense workloads (every SM
-            // due every cycle) this halves the per-cycle SM traversals and
-            // keeps the event core from trailing the stepping core.
+            // post-completion scan would see (checked below). On dense
+            // workloads (every SM due every cycle) this halves the
+            // per-cycle SM traversals.
             completions.clear();
             let mut next = u64::MAX;
             for (sm, wc) in self.sms.iter_mut().zip(&mut self.flat_wakes) {
@@ -1491,13 +1395,30 @@ impl Gpu {
             for c in completions.drain(..) {
                 self.process_completion(c);
             }
+            debug_assert_eq!(
+                next,
+                self.sms
+                    .iter()
+                    .map(Sm::next_ready_at)
+                    .min()
+                    .unwrap_or(u64::MAX),
+                "fused wake minimum diverged from the post-completion SM scan at cycle {}",
+                self.cycle
+            );
             if self.is_idle() || done(self) {
                 break;
             }
 
-            // Advance: fused flat minimum over SM wake-ups vs the next
-            // arrival, with the stepping core's re-dirty rule.
-            if let Some(&Reverse((arr, _))) = self.arrivals.peek() {
+            // Advance: fused minimum over SM wake-ups vs the next arrival.
+            // A future arrival keeps the scheduler dirty until it matures.
+            let next_arrival = self.arrivals.peek().map(|&Reverse((arr, _))| arr);
+            debug_assert_eq!(
+                next_arrival,
+                self.next_arrival_scan(),
+                "arrival heap diverged from the kernel scan at cycle {}",
+                self.cycle
+            );
+            if let Some(arr) = next_arrival {
                 next = next.min(arr);
                 self.sched_dirty = true;
             }
@@ -1511,8 +1432,14 @@ impl Gpu {
                 next = next.min(self.cycle + 1);
             }
             if next == u64::MAX {
-                // Quiescent but unfinished — same last-chance round and
-                // stall report as the stepping core.
+                // Quiescent but unfinished: one last scheduling chance, then
+                // report a stall. If the retry admitted work, jump straight
+                // to its issue cycle — re-entering the loop at the *same*
+                // cycle could re-run the scheduler forever without advancing
+                // time under a pathological policy that keeps the device
+                // quiescent (e.g. admits work some other hook immediately
+                // revokes), so every pass through this branch must strictly
+                // advance the clock or terminate.
                 self.run_scheduler();
                 self.flat_wakes.clear();
                 self.flat_wakes
@@ -1535,9 +1462,9 @@ impl Gpu {
     }
 
     /// Enables or disables per-instruction issue logging on every SM.
-    /// Clears previously accumulated records. The log is the cross-core
-    /// validation probe: two [`CoreKind`]s agree iff their drained logs are
-    /// identical.
+    /// Clears previously accumulated records. The log is the run
+    /// comparison probe: two runs (say, straight and paused-then-resumed)
+    /// schedule identically iff their drained logs are identical.
     pub fn set_issue_log(&mut self, enabled: bool) {
         for sm in &mut self.sms {
             sm.set_issue_log(enabled);
@@ -2337,35 +2264,30 @@ mod tests {
                 self.influenced
             }
         }
-        for core in [CoreKind::Stepping, CoreKind::Event] {
-            let run = |influenced: bool, cutoff: Option<u64>| {
-                let mut gpu = Gpu::new(GpuConfig {
-                    core,
-                    ..GpuConfig::tiny_2sm()
-                });
-                let buf = gpu.alloc_words(128).expect("alloc");
-                gpu.set_fault_hook(Box::new(Hook { influenced }));
-                gpu.set_inert_cutoff(cutoff);
-                gpu.launch(KernelLaunch::new(
-                    inc_kernel(),
-                    LaunchConfig::new(4u32, 32u32).param_u32(buf.0),
-                ))
-                .expect("launch");
-                gpu.run_to_idle()
-            };
-            let end = run(false, None).expect("no cutoff: full run");
-            let cut = run(false, Some(end / 2)).expect_err("inert at the cutoff");
-            assert!(
-                matches!(cut, SimError::InertFault { cycle } if (end / 2..=end).contains(&cycle)),
-                "{core:?}: {cut:?}"
-            );
-            assert_eq!(run(true, Some(end / 2)), Ok(end), "influenced runs finish");
-            assert_eq!(
-                run(false, Some(end + 1)),
-                Ok(end),
-                "a late cutoff never fires"
-            );
-        }
+        let run = |influenced: bool, cutoff: Option<u64>| {
+            let mut gpu = Gpu::new(GpuConfig::tiny_2sm());
+            let buf = gpu.alloc_words(128).expect("alloc");
+            gpu.set_fault_hook(Box::new(Hook { influenced }));
+            gpu.set_inert_cutoff(cutoff);
+            gpu.launch(KernelLaunch::new(
+                inc_kernel(),
+                LaunchConfig::new(4u32, 32u32).param_u32(buf.0),
+            ))
+            .expect("launch");
+            gpu.run_to_idle()
+        };
+        let end = run(false, None).expect("no cutoff: full run");
+        let cut = run(false, Some(end / 2)).expect_err("inert at the cutoff");
+        assert!(
+            matches!(cut, SimError::InertFault { cycle } if (end / 2..=end).contains(&cycle)),
+            "{cut:?}"
+        );
+        assert_eq!(run(true, Some(end / 2)), Ok(end), "influenced runs finish");
+        assert_eq!(
+            run(false, Some(end + 1)),
+            Ok(end),
+            "a late cutoff never fires"
+        );
         // Reset disarms the cutoff.
         let mut gpu = Gpu::new(GpuConfig::tiny_2sm());
         gpu.set_inert_cutoff(Some(0));
@@ -2378,6 +2300,63 @@ mod tests {
         ))
         .expect("launch");
         gpu.run_to_idle().expect("cutoff disarmed by reset");
+    }
+
+    #[test]
+    fn staggered_arrivals_survive_branch_waits_cancels_and_quarantines() {
+        // Random dispatch delays interleave kernel arrivals with execution,
+        // branch waits return mid-schedule, and cancels and quarantines
+        // between runs reshape the pending pool and the SM set. Registry
+        // workloads rarely produce this schedule, but the run loop's
+        // arrival heap, pending mirror and wake row (cross-checked against
+        // their exhaustive scans every step in debug builds) must track it.
+        let mut seeder = StdRng::seed_from_u64(0x57A6_6E2D);
+        for num_sms in [2usize, 6, 40] {
+            for _case in 0..6 {
+                let seed = seeder.gen_range(0..u64::MAX);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut gpu = Gpu::new(GpuConfig {
+                    num_sms,
+                    dispatch_gap_cycles: 40,
+                    ..GpuConfig::paper_6sm()
+                });
+                // (kernel, output buffer, words) of every uncancelled launch.
+                let mut live = Vec::new();
+                for _round in 0..4 {
+                    for _ in 0..rng.gen_range(1..4u32) {
+                        let blocks = rng.gen_range(1..2 * num_sms as u32 + 2);
+                        let buf = gpu.alloc_words(blocks * 32).expect("alloc");
+                        let launch = KernelLaunch::new(
+                            inc_kernel(),
+                            LaunchConfig::new(blocks, 32u32).param_u32(buf.0),
+                        )
+                        .dispatch_delay(rng.gen_range(0..3000u64));
+                        live.push((gpu.launch(launch).expect("launch"), buf, blocks * 32));
+                    }
+                    let target = live[rng.gen_range(0..live.len())].0;
+                    gpu.run_until(|g| g.kernel_finished(target))
+                        .unwrap_or_else(|e| panic!("seed {seed:#x}: branch wait: {e:?}"));
+                    assert!(gpu.kernel_finished(target), "seed {seed:#x}");
+                    if rng.gen_bool(0.5) {
+                        let (victim, _, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                        gpu.cancel_kernels(&[victim]);
+                    }
+                    if rng.gen_bool(0.5) && gpu.effective_sms() > 1 {
+                        gpu.quarantine_sm(rng.gen_range(0..num_sms));
+                    }
+                }
+                gpu.run_to_idle()
+                    .unwrap_or_else(|e| panic!("seed {seed:#x}: drain: {e:?}"));
+                for (id, buf, words) in live {
+                    assert!(gpu.kernel_finished(id), "seed {seed:#x}: {id:?}");
+                    assert_eq!(
+                        gpu.read_u32(buf, words as usize),
+                        vec![1u32; words as usize],
+                        "seed {seed:#x}: {id:?} output"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

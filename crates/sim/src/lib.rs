@@ -76,7 +76,7 @@ pub mod warp;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::builder::KernelBuilder;
-    pub use crate::config::{CoreKind, GpuConfig};
+    pub use crate::config::GpuConfig;
     pub use crate::gpu::{DevPtr, Gpu, SimError};
     pub use crate::isa::CmpOp;
     pub use crate::kernel::{

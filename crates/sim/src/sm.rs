@@ -54,9 +54,9 @@ pub struct SmStats {
 }
 
 /// One dynamic instruction issued by an SM warp scheduler — the unit of the
-/// cross-core trace diff ([`crate::config::CoreKind`]): two cores agree iff
-/// their issue logs are identical record for record, and the first
-/// divergence pinpoints (cycle, SM, warp) directly.
+/// run-to-run trace diff ([`crate::gpu::Gpu::set_issue_log`]): two runs
+/// schedule identically iff their issue logs are identical record for
+/// record, and the first divergence pinpoints (cycle, SM, warp) directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssueRecord {
     /// Cycle the instruction issued.
@@ -131,7 +131,7 @@ pub struct Sm {
     next_wake: u64,
     /// When set, every issued instruction is appended to `log`.
     log_enabled: bool,
-    /// Per-instruction issue log (cross-core validation; empty and
+    /// Per-instruction issue log (run-to-run trace diffs; empty and
     /// cost-free unless [`Sm::set_issue_log`] enabled it).
     log: Vec<IssueRecord>,
     /// Reusable coalesced-transaction scratch handed to the interpreter
@@ -684,7 +684,7 @@ impl Sm {
             self.stats.busy_cycles += 1;
         }
         // Re-derive the cached wake-up time. One O(warps) pass per
-        // *productive* visit (the event core never calls into a sleeping
+        // *productive* visit (the run loop never calls into a sleeping
         // SM), amortized against the >=1 instruction issued above.
         self.next_wake = self.scan_next_ready();
     }

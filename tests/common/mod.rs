@@ -4,11 +4,12 @@
 use higpu::rodinia::{
     backprop::Backprop, bfs::Bfs, cfd::Cfd, dwt2d::Dwt2d, gaussian::Gaussian, hotspot::Hotspot,
     hotspot3d::Hotspot3d, kmeans::Kmeans, leukocyte::Leukocyte, lud::Lud, myocyte::Myocyte, nn::Nn,
-    nw::Nw, pathfinder::Pathfinder, srad::Srad, streamcluster::Streamcluster, Benchmark,
+    nw::Nw, pathfinder::Pathfinder, srad::Srad, streamcluster::Streamcluster,
 };
+use higpu::workloads::Workload;
 
 /// Every benchmark at a size that completes in well under a second.
-pub fn small_suite() -> Vec<Box<dyn Benchmark>> {
+pub fn small_suite() -> Vec<Box<dyn Workload>> {
     vec![
         Box::new(Backprop {
             inputs: 16,

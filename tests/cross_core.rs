@@ -1,17 +1,21 @@
-//! Cross-core validator: the event-queue core must be **bit-identical** to
-//! the stepping oracle ([`higpu_sim::config::CoreKind`]).
+//! Registry-wide run-loop fences. Every registered workload runs through
+//! the simulator's single run loop, so in debug builds (tier-1) the loop's
+//! per-step cross-checks — the arrival heap, pending-block mirror and wake
+//! row against their exhaustive scans — see every workload's schedule.
 //!
-//! Every registered workload runs once per core with per-instruction issue
-//! logging enabled; the two issue logs are then diffed record for record.
-//! On divergence the failure message pinpoints the first differing issue
-//! slot as (cycle, SM, warp) — the exact coordinates needed to replay the
-//! stepping oracle up to the bug. Execution traces (block/kernel timings,
-//! makespan) and aggregate statistics must match too: agreement on the
-//! issue trace with disagreement in, say, cache counters would mean the
-//! cores diverge somewhere the issue log cannot see.
+//! On top of those, each workload's observable behaviour must be invariant
+//! under the loop's host-side interruptions: a run paused every few
+//! hundred cycles, a run snapshotted mid-flight and finished on a bare
+//! device, and a run stopped by the inert-fault cutoff must all agree with
+//! a straight run. Issue logs are diffed record for record; on divergence
+//! the failure message pinpoints the first differing issue slot as
+//! (cycle, SM, warp). Execution traces (block/kernel timings, makespan)
+//! and aggregate statistics must match too: agreement on the issue trace
+//! with disagreement in, say, cache counters would mean the runs diverge
+//! somewhere the issue log cannot see.
 
 use higpu_bench::matrix::full_registry;
-use higpu_sim::config::{CoreKind, GpuConfig};
+use higpu_sim::config::GpuConfig;
 use higpu_sim::fault::{FaultCtx, FaultHook};
 use higpu_sim::gpu::{DevPtr, DeviceSnapshot, Gpu, SimError};
 use higpu_sim::kernel::{Dim3, KernelLaunch, LaunchConfig};
@@ -23,19 +27,15 @@ use higpu_workloads::session::{BufId, GpuSession, SParam, SessionError, SoloSess
 use higpu_workloads::{Scale, WorkloadRegistry};
 use std::sync::Arc;
 
-/// One core's complete observable behaviour for a workload run.
-struct CoreRun {
+/// One run's complete observable behaviour for a workload.
+struct Observed {
     issues: Vec<IssueRecord>,
     trace: ExecutionTrace,
     stats: SimStats,
 }
 
-fn run_on_core(reg: &WorkloadRegistry, name: &str, core: CoreKind) -> CoreRun {
-    let cfg = GpuConfig {
-        core,
-        ..GpuConfig::default()
-    };
-    let mut gpu = Gpu::new(cfg);
+fn straight_run(reg: &WorkloadRegistry, name: &str) -> Observed {
+    let mut gpu = Gpu::new(GpuConfig::default());
     gpu.set_issue_log(true);
     let workload = reg
         .build(name, Scale::Campaign)
@@ -44,9 +44,9 @@ fn run_on_core(reg: &WorkloadRegistry, name: &str, core: CoreKind) -> CoreRun {
         let mut session = SoloSession::new(&mut gpu);
         workload
             .run(&mut session)
-            .unwrap_or_else(|e| panic!("workload '{name}' failed on {core:?}: {e:?}"));
+            .unwrap_or_else(|e| panic!("workload '{name}' failed: {e:?}"));
     }
-    CoreRun {
+    Observed {
         issues: gpu.drain_issue_log(),
         trace: gpu.trace().clone(),
         stats: gpu.stats(),
@@ -54,55 +54,56 @@ fn run_on_core(reg: &WorkloadRegistry, name: &str, core: CoreKind) -> CoreRun {
 }
 
 /// Diffs two issue logs and panics with the first-divergence coordinates.
-fn assert_logs_identical(name: &str, oracle: &[IssueRecord], event: &[IssueRecord]) {
-    let n = oracle.len().min(event.len());
+fn assert_logs_identical(name: &str, want: &[IssueRecord], got: &[IssueRecord]) {
+    let n = want.len().min(got.len());
     for i in 0..n {
-        if oracle[i] != event[i] {
+        if want[i] != got[i] {
             panic!(
-                "{name}: cores diverge at issue slot {i}: first divergence at \
-                 cycle {} sm {} warp {} — stepping issued {:?}, event issued {:?}",
-                oracle[i].cycle, oracle[i].sm, oracle[i].warp, oracle[i], event[i]
+                "{name}: runs diverge at issue slot {i}: first divergence at \
+                 cycle {} sm {} warp {} — expected {:?}, got {:?}",
+                want[i].cycle, want[i].sm, want[i].warp, want[i], got[i]
             );
         }
     }
     assert_eq!(
-        oracle.len(),
-        event.len(),
-        "{name}: logs agree for {n} records, then one core issued more \
-         (stepping {} vs event {}; first extra record: {:?})",
-        oracle.len(),
-        event.len(),
-        if oracle.len() > event.len() {
-            &oracle[n]
+        want.len(),
+        got.len(),
+        "{name}: logs agree for {n} records, then one run issued more \
+         (expected {} vs got {}; first extra record: {:?})",
+        want.len(),
+        got.len(),
+        if want.len() > got.len() {
+            &want[n]
         } else {
-            &event[n]
+            &got[n]
         }
     );
 }
 
 #[test]
-fn every_registry_workload_is_bit_identical_across_cores() {
+fn every_registry_workload_is_bit_identical_under_repeated_pauses() {
     let reg = full_registry();
     let names: Vec<String> = reg.names().iter().map(|n| n.to_string()).collect();
     assert!(
         names.len() >= 17,
-        "registry shrank to {} workloads — the cross-core sweep lost coverage",
+        "registry shrank to {} workloads — the run-loop sweep lost coverage",
         names.len()
     );
     for name in &names {
-        let oracle = run_on_core(&reg, name, CoreKind::Stepping);
-        let event = run_on_core(&reg, name, CoreKind::Event);
+        let straight = straight_run(&reg, name);
         assert!(
-            !oracle.issues.is_empty(),
-            "{name}: stepping oracle issued nothing — the diff would be vacuous"
+            !straight.issues.is_empty(),
+            "{name}: the straight run issued nothing — the diff would be vacuous"
         );
-        assert_logs_identical(name, &oracle.issues, &event.issues);
+        let stride = (straight.trace.makespan().unwrap_or(0) / 16).max(1);
+        let (_, paused) = run_paused(&reg, name, |gpu| PausingSession::pausing_every(gpu, stride));
+        assert_logs_identical(name, &straight.issues, &paused.issues);
         assert_eq!(
-            oracle.trace, event.trace,
+            straight.trace, paused.trace,
             "{name}: identical issue logs but diverging execution traces"
         );
         assert_eq!(
-            oracle.stats, event.stats,
+            straight.stats, paused.stats,
             "{name}: identical issue logs but diverging statistics"
         );
     }
@@ -118,9 +119,10 @@ fn abort_sentinel() -> SessionError {
 
 /// A [`SoloSession`]-shaped session that either (a) pauses the device at a
 /// target cycle mid-segment, snapshots it, finishes that segment and then
-/// aborts the host program, or (b) runs segments normally and aborts after
+/// aborts the host program, (b) runs segments normally and aborts after
 /// a given segment index — so a snapshotted run and a from-zero run can be
-/// truncated at exactly the same host-program point and compared.
+/// truncated at exactly the same host-program point and compared — or
+/// (c) runs every segment as a chain of `stride`-cycle pauses.
 struct PausingSession<'g> {
     gpu: &'g mut Gpu,
     buffers: Vec<DevPtr>,
@@ -129,6 +131,8 @@ struct PausingSession<'g> {
     pause_at: Option<u64>,
     /// Truncation mode: abort after this sync segment completes.
     stop_segment: Option<usize>,
+    /// Stride mode: pause every this many cycles.
+    stride: Option<u64>,
     segment: usize,
     snap: Option<(usize, u64, DeviceSnapshot)>,
 }
@@ -141,6 +145,7 @@ impl<'g> PausingSession<'g> {
             pending: false,
             pause_at: Some(pause_at),
             stop_segment: None,
+            stride: None,
             segment: 0,
             snap: None,
         }
@@ -153,6 +158,20 @@ impl<'g> PausingSession<'g> {
             pending: false,
             pause_at: None,
             stop_segment: Some(stop_segment),
+            stride: None,
+            segment: 0,
+            snap: None,
+        }
+    }
+
+    fn pausing_every(gpu: &'g mut Gpu, stride: u64) -> Self {
+        Self {
+            gpu,
+            buffers: Vec::new(),
+            pending: false,
+            pause_at: None,
+            stop_segment: None,
+            stride: Some(stride),
             segment: 0,
             snap: None,
         }
@@ -212,6 +231,9 @@ impl GpuSession for PausingSession<'_> {
                 }
             }
         }
+        if let Some(stride) = self.stride {
+            while !self.gpu.run_to_cycle(self.gpu.cycle() + stride)? {}
+        }
         self.gpu.run_to_idle()?;
         self.pending = false;
         let segment = self.segment;
@@ -234,14 +256,9 @@ impl GpuSession for PausingSession<'_> {
 fn run_paused(
     reg: &WorkloadRegistry,
     name: &str,
-    core: CoreKind,
     mode: impl FnOnce(&mut Gpu) -> PausingSession<'_>,
-) -> (Option<(usize, u64, DeviceSnapshot)>, CoreRun) {
-    let cfg = GpuConfig {
-        core,
-        ..GpuConfig::default()
-    };
-    let mut gpu = Gpu::new(cfg);
+) -> (Option<(usize, u64, DeviceSnapshot)>, Observed) {
+    let mut gpu = Gpu::new(GpuConfig::default());
     gpu.set_issue_log(true);
     let workload = reg
         .build(name, Scale::Campaign)
@@ -251,11 +268,11 @@ fn run_paused(
         match workload.run(&mut session) {
             Ok(_) => {}
             Err(e) if e == abort_sentinel() => {}
-            Err(e) => panic!("workload '{name}' failed on {core:?}: {e:?}"),
+            Err(e) => panic!("workload '{name}' failed: {e:?}"),
         }
         session.snap.take()
     };
-    let run = CoreRun {
+    let run = Observed {
         issues: gpu.drain_issue_log(),
         trace: gpu.trace().clone(),
         stats: gpu.stats(),
@@ -264,66 +281,55 @@ fn run_paused(
 }
 
 #[test]
-fn mid_run_snapshot_restores_bit_identically_on_both_cores() {
+fn mid_run_snapshot_restores_bit_identically() {
     // The checkpoint fence: for every registry workload, snapshot the
     // device mid-run (half the fault-free makespan), finish the snapshot's
-    // segment on BOTH cores from the restored state, and require the full
-    // drained issue logs — restored prefix plus simulated suffix — to be
-    // bit-identical to each other and to a from-zero run truncated at the
-    // same host-program point.
+    // segment from the restored state on a bare device, and require the
+    // full drained issue log — restored prefix plus simulated suffix — to
+    // be bit-identical to a from-zero run truncated at the same
+    // host-program point.
     let reg = full_registry();
     let names: Vec<String> = reg.names().iter().map(|n| n.to_string()).collect();
     for name in &names {
-        let full = run_on_core(&reg, name, CoreKind::Event);
+        let full = straight_run(&reg, name);
         let makespan = full.trace.makespan().unwrap_or(0);
         assert!(makespan > 0, "{name}: empty run makes the fence vacuous");
         let mid = makespan / 2;
 
-        let (snap, paused) = run_paused(&reg, name, CoreKind::Event, |gpu| {
-            PausingSession::snapshotting(gpu, mid)
-        });
+        let (snap, paused) = run_paused(&reg, name, |gpu| PausingSession::snapshotting(gpu, mid));
         let (segment, snap_cycle, snap) =
             snap.unwrap_or_else(|| panic!("{name}: no mid-run snapshot at cycle {mid}"));
 
-        // From-zero oracle truncated at the same segment, on the stepping
-        // core (so the comparison spans both the pause machinery and the
-        // core boundary).
-        let (_, truncated) = run_paused(&reg, name, CoreKind::Stepping, |gpu| {
-            PausingSession::truncating(gpu, segment)
-        });
+        // From-zero oracle truncated at the same segment.
+        let (_, truncated) = run_paused(&reg, name, |gpu| PausingSession::truncating(gpu, segment));
         assert_logs_identical(name, &truncated.issues, &paused.issues);
         assert_eq!(
             truncated.stats, paused.stats,
             "{name}: pausing to snapshot perturbed the run"
         );
 
-        // Restore the snapshot onto a bare device of each core and finish
-        // the segment; every observable must match the truncated oracle.
-        for core in [CoreKind::Stepping, CoreKind::Event] {
-            let mut gpu = Gpu::new(GpuConfig {
-                core,
-                ..GpuConfig::default()
-            });
-            gpu.restore(&snap);
-            gpu.run_to_idle()
-                .unwrap_or_else(|e| panic!("{name}: restored run failed on {core:?}: {e:?}"));
-            let issues = gpu.drain_issue_log();
-            assert!(
-                issues.iter().any(|r| r.cycle >= snap_cycle),
-                "{name}: restored {core:?} run simulated no suffix past cycle {snap_cycle}"
-            );
-            assert_logs_identical(name, &truncated.issues, &issues);
-            assert_eq!(
-                &truncated.trace,
-                gpu.trace(),
-                "{name}: restored {core:?} trace diverged"
-            );
-            assert_eq!(
-                truncated.stats,
-                gpu.stats(),
-                "{name}: restored {core:?} stats diverged"
-            );
-        }
+        // Restore the snapshot onto a bare device and finish the segment;
+        // every observable must match the truncated oracle.
+        let mut gpu = Gpu::new(GpuConfig::default());
+        gpu.restore(&snap);
+        gpu.run_to_idle()
+            .unwrap_or_else(|e| panic!("{name}: restored run failed: {e:?}"));
+        let issues = gpu.drain_issue_log();
+        assert!(
+            issues.iter().any(|r| r.cycle >= snap_cycle),
+            "{name}: restored run simulated no suffix past cycle {snap_cycle}"
+        );
+        assert_logs_identical(name, &truncated.issues, &issues);
+        assert_eq!(
+            &truncated.trace,
+            gpu.trace(),
+            "{name}: restored trace diverged"
+        );
+        assert_eq!(
+            truncated.stats,
+            gpu.stats(),
+            "{name}: restored stats diverged"
+        );
     }
 }
 
@@ -341,46 +347,48 @@ impl FaultHook for Inert {
 }
 
 #[test]
-fn inert_cutoff_fires_at_the_same_cycle_on_both_cores() {
-    // The early-exit contract across cores: with the cutoff armed mid-run,
-    // both cores stop at the same cycle with identical issue logs, so an
-    // exited trial is core-independent like every other trial.
+fn inert_cutoff_fires_at_the_first_visited_cycle_past_it() {
+    // The early-exit contract: with the cutoff armed mid-run, the loop
+    // stops at exactly the cycle where a pause at the cutoff lands (both
+    // are taken at the top of the first iteration at or past it), having
+    // issued exactly the straight run's instructions before that cycle.
     let reg = full_registry();
     for name in reg.names() {
-        let makespan = run_on_core(&reg, name, CoreKind::Event)
-            .trace
-            .makespan()
-            .unwrap_or(0);
+        let straight = straight_run(&reg, name);
+        let makespan = straight.trace.makespan().unwrap_or(0);
         let cutoff = makespan / 2;
-        let mut cuts = Vec::new();
-        for core in [CoreKind::Stepping, CoreKind::Event] {
-            let mut gpu = Gpu::new(GpuConfig {
-                core,
-                ..GpuConfig::default()
-            });
-            gpu.set_issue_log(true);
-            gpu.set_fault_hook(Box::new(Inert));
-            gpu.set_inert_cutoff(Some(cutoff));
-            let workload = reg
-                .build(name, Scale::Campaign)
-                .unwrap_or_else(|| panic!("workload '{name}' not in registry"));
-            let err = workload
-                .run(&mut SoloSession::new(&mut gpu))
-                .expect_err("the cutoff precedes the makespan");
-            let SessionError::Sim(SimError::InertFault { cycle }) = err else {
-                panic!("{name} on {core:?}: expected an inert exit, got {err:?}");
-            };
-            assert!(
-                (cutoff..=makespan).contains(&cycle),
-                "{name} on {core:?}: exit at {cycle} outside [{cutoff}, {makespan}]"
-            );
-            cuts.push((cycle, gpu.drain_issue_log()));
-        }
-        assert_eq!(
-            cuts[0].0, cuts[1].0,
-            "{name}: the cutoff fired at different cycles on the two cores"
+        let (snap, _) = run_paused(&reg, name, |gpu| PausingSession::snapshotting(gpu, cutoff));
+        let (_, pause_cycle, _) =
+            snap.unwrap_or_else(|| panic!("{name}: no pause at cycle {cutoff}"));
+
+        let mut gpu = Gpu::new(GpuConfig::default());
+        gpu.set_issue_log(true);
+        gpu.set_fault_hook(Box::new(Inert));
+        gpu.set_inert_cutoff(Some(cutoff));
+        let workload = reg
+            .build(name, Scale::Campaign)
+            .unwrap_or_else(|| panic!("workload '{name}' not in registry"));
+        let err = workload
+            .run(&mut SoloSession::new(&mut gpu))
+            .expect_err("the cutoff precedes the makespan");
+        let SessionError::Sim(SimError::InertFault { cycle }) = err else {
+            panic!("{name}: expected an inert exit, got {err:?}");
+        };
+        assert!(
+            (cutoff..=makespan).contains(&cycle),
+            "{name}: exit at {cycle} outside [{cutoff}, {makespan}]"
         );
-        assert_logs_identical(name, &cuts[0].1, &cuts[1].1);
+        assert_eq!(
+            cycle, pause_cycle,
+            "{name}: the cutoff fired at a different cycle than a pause lands"
+        );
+        let prefix: Vec<IssueRecord> = straight
+            .issues
+            .iter()
+            .copied()
+            .filter(|r| r.cycle < cycle)
+            .collect();
+        assert_logs_identical(name, &prefix, &gpu.drain_issue_log());
     }
 }
 
@@ -389,7 +397,7 @@ fn issue_log_is_cycle_sm_ordered() {
     // The diff above is only meaningful if the drained log has a canonical
     // order; verify the (cycle, sm) sort contract on a real workload.
     let reg = full_registry();
-    let run = run_on_core(&reg, "pathfinder", CoreKind::Event);
+    let run = straight_run(&reg, "pathfinder");
     for w in run.issues.windows(2) {
         assert!(
             (w[0].cycle, w[0].sm) <= (w[1].cycle, w[1].sm),

@@ -1,4 +1,4 @@
-//! Property test for the event-queue core's O(1) wake-up cache: after
+//! Property test for the run loop's O(1) wake-up cache: after
 //! every batch of mutations — block admissions, issue slots at jumping
 //! cycles, kernel discards, resets — an SM's incrementally maintained
 //! [`higpu_sim::sm::Sm::next_ready_at`] must equal the exhaustive scan
@@ -12,7 +12,7 @@
 
 use higpu_sim::block::{BlockDims, BlockState};
 use higpu_sim::builder::KernelBuilder;
-use higpu_sim::config::{CoreKind, GpuConfig, WarpSchedPolicy};
+use higpu_sim::config::{GpuConfig, WarpSchedPolicy};
 use higpu_sim::fault::NoFaults;
 use higpu_sim::gpu::Gpu;
 use higpu_sim::kernel::{BlockFootprint, Dim3, KernelId, KernelLaunch, LaunchConfig};
@@ -240,10 +240,7 @@ fn event_state_is_unobservable_across_resets() {
     for _case in 0..25 {
         let seed = seeder.gen_range(0..u64::MAX);
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = GpuConfig {
-            core: CoreKind::Event,
-            ..GpuConfig::tiny_2sm()
-        };
+        let cfg = GpuConfig::tiny_2sm();
 
         // Recycled device: run a random prefix workload, interrupt it at a
         // random cycle (or complete it), then reset.

@@ -9,15 +9,15 @@ mod common;
 
 use higpu::core::diversity::{analyze, DiversityRequirements};
 use higpu::core::redundancy::{RParam, RedundancyMode, RedundantExecutor};
-use higpu::rodinia::{RedundantSession, SoloSession};
 use higpu::sim::builder::KernelBuilder;
 use higpu::sim::config::GpuConfig;
 use higpu::sim::gpu::Gpu;
+use higpu::workloads::{RedundantSession, SoloSession, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn run_redundant(
-    bench: &dyn higpu::rodinia::Benchmark,
+    bench: &dyn Workload,
     mode: RedundancyMode,
 ) -> (Vec<u32>, higpu::core::diversity::DiversityReport) {
     let mut gpu = Gpu::new(GpuConfig::paper_6sm());

@@ -3,8 +3,8 @@
 //! The contract (`higpu_telemetry`): enabling the event ring and the
 //! campaign telemetry aggregation changes *nothing* observable about the
 //! simulation — every report, issue stream, trace and statistic is
-//! bit-identical with telemetry on and off, at every worker count, on both
-//! simulator cores, checkpointed or from zero. The aggregate telemetry
+//! bit-identical with telemetry on and off, at every worker count,
+//! checkpointed or from zero. The aggregate telemetry
 //! itself is a deterministic function of the campaign (order-independent
 //! histogram merge), so it too must be bit-identical at every worker
 //! count.
@@ -16,7 +16,7 @@ use higpu_faults::campaign::{
     CampaignSpec, CampaignTelemetry, FaultSpec,
 };
 use higpu_faults::checkpoint::CheckpointConfig;
-use higpu_sim::config::{CoreKind, GpuConfig};
+use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::Gpu;
 use higpu_sim::sm::IssueRecord;
 use higpu_sim::stats::SimStats;
@@ -35,44 +35,37 @@ fn spec() -> CampaignSpec {
     )
 }
 
-fn campaign_cfg(core: CoreKind, workers: usize, telemetry: bool) -> CampaignConfig {
+fn campaign_cfg(workers: usize, telemetry: bool) -> CampaignConfig {
     let mut cfg = CampaignConfig {
         trials: 24,
         workers,
         ..CampaignConfig::default()
     };
-    cfg.gpu.core = core;
     cfg.gpu.telemetry_capacity = if telemetry { Some(1 << 12) } else { None };
     cfg
 }
 
-fn run_cell(core: CoreKind, workers: usize, telemetry: bool) -> CampaignReport {
-    run_campaign_selected(
-        &campaign_cfg(core, workers, telemetry),
-        &full_registry(),
-        &spec(),
-    )
-    .expect("campaign")
+fn run_cell(workers: usize, telemetry: bool) -> CampaignReport {
+    run_campaign_selected(&campaign_cfg(workers, telemetry), &full_registry(), &spec())
+        .expect("campaign")
 }
 
 /// The primary fence: a telemetry-enabled campaign reports exactly what the
-/// telemetry-free campaign reports — per core, per worker count.
+/// telemetry-free campaign reports — per worker count.
 #[test]
 fn reports_bit_identical_with_telemetry_on_and_off() {
-    for core in [CoreKind::Stepping, CoreKind::Event] {
-        let baseline = run_cell(core, 1, false);
-        for workers in [1usize, 2, 8] {
-            let off = run_cell(core, workers, false);
-            let on = run_cell(core, workers, true);
-            assert_eq!(
-                off, baseline,
-                "{core:?}/{workers} workers: telemetry-off report diverged from serial baseline"
-            );
-            assert_eq!(
-                on, baseline,
-                "{core:?}/{workers} workers: enabling telemetry changed the campaign report"
-            );
-        }
+    let baseline = run_cell(1, false);
+    for workers in [1usize, 2, 8] {
+        let off = run_cell(workers, false);
+        let on = run_cell(workers, true);
+        assert_eq!(
+            off, baseline,
+            "{workers} workers: telemetry-off report diverged from serial baseline"
+        );
+        assert_eq!(
+            on, baseline,
+            "{workers} workers: enabling telemetry changed the campaign report"
+        );
     }
 }
 
@@ -81,9 +74,9 @@ fn reports_bit_identical_with_telemetry_on_and_off() {
 #[test]
 fn checkpointed_reports_unaffected_by_telemetry() {
     let reg = full_registry();
-    let baseline = run_cell(CoreKind::default(), 1, false);
+    let baseline = run_cell(1, false);
     for telemetry in [false, true] {
-        let mut cfg = campaign_cfg(CoreKind::default(), 2, telemetry);
+        let mut cfg = campaign_cfg(2, telemetry);
         cfg.checkpoint = Some(CheckpointConfig::default());
         let report = run_campaign_selected(&cfg, &reg, &spec()).expect("checkpointed campaign");
         assert_eq!(
@@ -101,7 +94,7 @@ fn campaign_telemetry_bit_identical_at_every_worker_count() {
     let reg = full_registry();
     let mut baseline: Option<CampaignTelemetry> = None;
     for workers in [1usize, 2, 8] {
-        let cfg = campaign_cfg(CoreKind::default(), workers, true);
+        let cfg = campaign_cfg(workers, true);
         let (_, telemetry) =
             run_campaign_selected_with_telemetry(&cfg, &reg, &spec()).expect("campaign");
         assert_eq!(
@@ -126,9 +119,8 @@ struct SoloRun {
     stats: SimStats,
 }
 
-fn solo_run(core: CoreKind, telemetry: bool) -> SoloRun {
+fn solo_run(telemetry: bool) -> SoloRun {
     let cfg = GpuConfig {
-        core,
         telemetry_capacity: if telemetry { Some(1 << 12) } else { None },
         ..GpuConfig::default()
     };
@@ -150,27 +142,24 @@ fn solo_run(core: CoreKind, telemetry: bool) -> SoloRun {
 
 /// Below the campaign layer: the device's per-instruction issue stream,
 /// execution trace and statistics are bit-identical with the event ring
-/// enabled and disabled, on both cores — the ring observes the simulation
-/// without perturbing it.
+/// enabled and disabled — the ring observes the simulation without
+/// perturbing it.
 #[test]
 fn issue_stream_trace_and_stats_unaffected_by_telemetry() {
-    for core in [CoreKind::Stepping, CoreKind::Event] {
-        let off = solo_run(core, false);
-        let on = solo_run(core, true);
+    let off = solo_run(false);
+    let on = solo_run(true);
+    assert_eq!(
+        off.issues.len(),
+        on.issues.len(),
+        "issue counts diverge with telemetry enabled"
+    );
+    for (i, (a, b)) in off.issues.iter().zip(on.issues.iter()).enumerate() {
         assert_eq!(
-            off.issues.len(),
-            on.issues.len(),
-            "{core:?}: issue counts diverge with telemetry enabled"
+            a, b,
+            "issue slot {i} diverges with telemetry enabled (cycle {} sm {} warp {})",
+            a.cycle, a.sm, a.warp
         );
-        for (i, (a, b)) in off.issues.iter().zip(on.issues.iter()).enumerate() {
-            assert_eq!(
-                a, b,
-                "{core:?}: issue slot {i} diverges with telemetry enabled \
-                 (cycle {} sm {} warp {})",
-                a.cycle, a.sm, a.warp
-            );
-        }
-        assert_eq!(off.trace, on.trace, "{core:?}: execution trace diverges");
-        assert_eq!(off.stats, on.stats, "{core:?}: statistics diverge");
     }
+    assert_eq!(off.trace, on.trace, "execution trace diverges");
+    assert_eq!(off.stats, on.stats, "statistics diverge");
 }
