@@ -29,7 +29,9 @@
 //!
 //! `--assert-srrs-clean` exits non-zero unless every SRRS cell — at every
 //! swept replica count, on the paper device and the wide one — reports zero
-//! undetected failures (the CI fence for the paper's ASIL-D claim). When
+//! undetected failures (the CI fence for the paper's ASIL-D claim). A
+//! replica count whose fenced cells are missing or activated no fault at
+//! all is evidence of nothing and fails the fence as vacuous. When
 //! `--pipelines` names any pipeline the fence extends to the pipeline
 //! cells: any undetected failure under a diverse policy, or any
 //! *unrecovered in-slack retry* on a transient-class fault (a re-execution
@@ -190,15 +192,16 @@ fn parse_args() -> Result<Options, String> {
                 );
             }
             "--wide-replicas" => {
-                opts.cfg.wide_replica_counts = value("--wide-replicas")?
-                    .split(',')
-                    .filter(|r| !r.trim().is_empty())
-                    .map(|r| {
-                        r.trim()
-                            .parse::<u8>()
-                            .map_err(|e| format!("--wide-replicas: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
+                // The whole value `''` turns the wide cells off.
+                let v = value("--wide-replicas")?;
+                opts.cfg.wide_replica_counts = if v.trim().is_empty() {
+                    Vec::new()
+                } else {
+                    list(v)?
+                        .iter()
+                        .map(|r| r.parse::<u8>().map_err(|e| format!("--wide-replicas: {e}")))
+                        .collect::<Result<_, _>>()?
+                };
             }
             "--wide-trials" => {
                 opts.cfg.wide_trials = Some(
@@ -555,6 +558,14 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
+            if srrs.iter().all(|r| r.trials == r.not_activated) {
+                // Nor must one whose faults never activated.
+                eprintln!(
+                    "campaign_matrix: --assert-srrs-clean but no SRRS trial at {replicas} \
+                     replicas activated its fault (check --trials/--faults) — fence vacuous"
+                );
+                return ExitCode::FAILURE;
+            }
             let undetected: u32 = srrs.iter().map(|r| r.undetected).sum();
             if undetected != 0 {
                 eprintln!(
@@ -618,35 +629,40 @@ fn main() -> ExitCode {
             );
         }
         // Wide-device fence: the extra replica counts keep the ASIL-D
-        // claim too (the wide cells fold into
-        // undetected_under_diverse_policies, checked per-cell here for an
-        // attributable message).
-        if !m.wide_replica_counts.is_empty() && m.wide_reports.is_empty() {
+        // claim too, under the same vacuity rules as the SRRS cells.
+        for replicas in &m.wide_replica_counts {
+            let wide: Vec<_> = m
+                .wide_reports
+                .iter()
+                .filter(|r| r.replicas == *replicas && diverse.contains(&r.policy.as_str()))
+                .collect();
+            if wide.is_empty() {
+                eprintln!(
+                    "campaign_matrix: --assert-srrs-clean but no diverse wide cell was swept \
+                     at {replicas} replicas (check --policies) — fence vacuous"
+                );
+                return ExitCode::FAILURE;
+            }
+            if wide.iter().all(|r| r.trials == r.not_activated) {
+                eprintln!(
+                    "campaign_matrix: --assert-srrs-clean but no diverse wide trial at \
+                     {replicas} replicas activated its fault (check --wide-trials/--faults) \
+                     — fence vacuous"
+                );
+                return ExitCode::FAILURE;
+            }
+            let undetected: u32 = wide.iter().map(|r| r.undetected).sum();
+            if undetected != 0 {
+                eprintln!(
+                    "campaign_matrix: wide-device cells at {replicas} replicas show \
+                     {undetected} undetected failure(s) under diverse policies — ASIL-D \
+                     fence violated"
+                );
+                return ExitCode::FAILURE;
+            }
             eprintln!(
-                "campaign_matrix: --assert-srrs-clean with wide replicas {:?} but no wide \
-                 cell was swept (check --policies) — fence vacuous",
-                m.wide_replica_counts
-            );
-            return ExitCode::FAILURE;
-        }
-        let wide_undetected: u32 = m
-            .wide_reports
-            .iter()
-            .filter(|r| diverse.contains(&r.policy.as_str()))
-            .map(|r| r.undetected)
-            .sum();
-        if wide_undetected != 0 {
-            eprintln!(
-                "campaign_matrix: wide-device cells show {wide_undetected} undetected \
-                 failure(s) under diverse policies — ASIL-D fence violated"
-            );
-            return ExitCode::FAILURE;
-        }
-        if !m.wide_reports.is_empty() {
-            eprintln!(
-                "campaign_matrix: wide device clean at {:?} replicas ({} cells)",
-                m.wide_replica_counts,
-                m.wide_reports.len()
+                "campaign_matrix: wide device clean at {replicas} replicas ({} cells)",
+                wide.len()
             );
         }
         // Limp-home fence: permanent faults must be diagnosed and limped

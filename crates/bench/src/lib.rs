@@ -12,18 +12,13 @@
 //!   quantified safety argument);
 //! * [`matrix`] — the campaign matrix: coverage campaigns swept over
 //!   {workload × fault model × scheduler policy} through the unified
-//!   workload registry (full Rodinia suite included);
-//! * [`campaign_perf`] — campaign-engine throughput tracking (serial vs
-//!   parallel, recorded in `BENCH_campaign.json` together with the matrix);
-//! * [`core_mips`] — per-workload simulator throughput, with the recorded
-//!   seed and pre-decode baselines;
+//!   workload registry (full Rodinia suite included); `campaign_matrix
+//!   --json` writes it, with its telemetry, as `BENCH_campaign.json`;
 //! * [`table`] — plain-text/CSV rendering helpers shared by the binaries.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod campaign_perf;
-pub mod core_mips;
 pub mod coverage;
 pub mod fig3;
 pub mod fig4;

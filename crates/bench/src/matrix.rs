@@ -6,7 +6,6 @@
 //! coverage-vs-cost *frontier* (detected/corrected/undetected vs makespan
 //! overhead) summarized per (policy, replicas).
 
-use crate::campaign_perf::ThroughputResult;
 use higpu_core::policy::PolicyKind;
 use higpu_faults::campaign::{
     run_campaign_selected_serial, run_campaign_selected_with_telemetry, CampaignConfig,
@@ -1395,12 +1394,6 @@ fn pipeline_error_to_campaign(e: PipelineCampaignError) -> CampaignError {
             other => CampaignError::Execution(format!("pipeline: {other}")),
         },
     }
-}
-
-/// Renders the combined `BENCH_campaign.json` document: engine throughput
-/// plus the campaign matrix (cells and coverage-vs-cost frontier).
-pub fn bench_document(throughput: &ThroughputResult, matrix: &MatrixResult) -> String {
-    throughput.to_json_with_extra(&[("matrix", &matrix.to_json())])
 }
 
 #[cfg(test)]

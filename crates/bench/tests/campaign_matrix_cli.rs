@@ -1,6 +1,7 @@
 //! Command-line contract of `campaign_matrix`: `--help` prints the usage
-//! and succeeds, and ill-formed list values are rejected with a message
-//! naming the flag before any sweep runs.
+//! and succeeds, ill-formed list values are rejected with a message naming
+//! the flag before any sweep runs, and `--assert-srrs-clean` refuses to
+//! pass on a sweep whose fenced cells activated no fault.
 
 use std::process::{Command, Output};
 
@@ -32,7 +33,7 @@ fn empty_and_ill_formed_list_values_are_rejected() {
         ["--faults", ",droop"],
         ["--pipelines", ""],
         ["--exec", "serial,,overlapped"],
-        ["--core", ""],
+        ["--wide-replicas", "5,,7"],
     ] {
         let out = campaign_matrix(&args);
         assert!(!out.status.success(), "{args:?} was accepted");
@@ -43,4 +44,51 @@ fn empty_and_ill_formed_list_values_are_rejected() {
         );
         assert!(out.stdout.is_empty(), "{args:?}: a sweep ran");
     }
+}
+
+#[test]
+fn srrs_fence_without_an_activated_trial_is_vacuous() {
+    let fence = |extra: &[&str]| {
+        let mut args = vec![
+            "--workloads",
+            "hotspot",
+            "--policies",
+            "srrs",
+            "--faults",
+            "transient",
+            "--replicas",
+            "2",
+            "--assert-srrs-clean",
+            "--quiet",
+        ];
+        args.extend_from_slice(extra);
+        campaign_matrix(&args)
+    };
+    for extra in [
+        // No trial at all.
+        &["--trials", "0", "--wide-replicas", ""][..],
+        // One trial, whose fault never activates at this seed.
+        &["--trials", "1", "--seed", "0", "--wide-replicas", ""],
+        // An activated SRRS trial, but no trial in the wide cells.
+        &[
+            "--trials",
+            "1",
+            "--seed",
+            "4",
+            "--wide-replicas",
+            "5",
+            "--wide-trials",
+            "0",
+        ],
+    ] {
+        let out = fence(extra);
+        assert!(!out.status.success(), "{extra:?} passed the fence");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("fence vacuous"), "{extra:?}: {err}");
+    }
+    // The control: the seed-4 trial activates, so the same cell is evidence.
+    let out = fence(&["--trials", "1", "--seed", "4", "--wide-replicas", ""]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("SRRS clean at 2 replicas"), "{err}");
 }

@@ -52,8 +52,15 @@ impl Default for DiversityRequirements {
 
 impl DiversityRequirements {
     /// Requirements sized to a worst-case transient CCF of `droop` cycles:
-    /// disjoint executions need no extra slack; overlapping executions must
-    /// be staggered by more than the droop duration.
+    /// overlapping executions must be staggered by more than the droop
+    /// duration, and disjoint executions get no extra slack.
+    ///
+    /// That is **not** sufficient against droops. The check sees only the
+    /// fault-free schedule, and a droop that corrupts control flow can
+    /// shorten replicas until two serialized ones fit inside one droop
+    /// window and share a wrong output that outvotes the healthy replica.
+    /// Campaigns show it under SRRS at N = 3 (lud, nw); the README's
+    /// "Where the droop claim fails" entry gives the reproducing sweep.
     pub fn for_droop_duration(droop: u64) -> Self {
         Self {
             min_slack: 0,

@@ -1053,7 +1053,7 @@ fn prepare_reference(
 
 /// The reference serial engine: one freshly constructed device per trial,
 /// trials in draw order. Kept as the oracle the parallel engine is checked
-/// against (and as the baseline of the `campaign_throughput` bench).
+/// against.
 ///
 /// # Errors
 ///

@@ -12,7 +12,9 @@
 //!   several Rodinia workloads, from zero and checkpointed, at N = 2 and 3,
 //!   ends with the same outcome and observables as
 //!   its full simulation, and at least one trial really exited early (it
-//!   simulated fewer cycles);
+//!   simulated fewer cycles). The checkpointed trials also end exactly like
+//!   their from-zero twins, including on `srad` with every fault armed in
+//!   the last 1/16 of the run, where suffix replay skips the most;
 //! * **deadline guard** — under a watchdog tighter than the fault-free
 //!   makespan the cutoff is never armed, so no trial exits.
 
@@ -22,6 +24,7 @@ use higpu_faults::campaign::{
     CampaignRunner, CampaignSpec, FaultSpec, TrialOutcome,
 };
 use higpu_faults::checkpoint::{record_reference, CheckpointConfig};
+use higpu_faults::model::FaultModel;
 use higpu_faults::workload::RedundantWorkload;
 use higpu_workloads::WorkloadRegistry;
 
@@ -36,10 +39,46 @@ fn registry() -> WorkloadRegistry {
     reg
 }
 
+/// Where a cell's faults arm.
+#[derive(Debug, Clone, Copy)]
+enum Arms {
+    /// The campaign engines' own draw.
+    Drawn,
+    /// Transient SM faults armed in the last 1/16 of the fault-free run.
+    LateWindow,
+}
+
+impl Arms {
+    fn models(self, cfg: &CampaignConfig, fault: FaultSpec, makespan: u64) -> Vec<FaultModel> {
+        match self {
+            Self::Drawn => draw_models(cfg, fault, makespan),
+            Self::LateWindow => {
+                let lo = makespan - makespan / 16;
+                (0..cfg.trials)
+                    .map(|i| FaultModel::TransientSm {
+                        sm: i as usize % cfg.gpu.num_sms,
+                        start: lo + u64::from(i) % (makespan - lo).max(1),
+                        duration: 400,
+                        bit: (i % 32) as u8,
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
+/// How one trial ended: its outcome, end cycle, activation and deadline cut.
+type Ending = (TrialOutcome, u64, bool, bool);
+
 /// Runs every trial of one campaign cell through the early-exit entry point
 /// and through a full simulation, asserting they agree; returns how many
-/// trials exited early.
-fn exits_in_cell(reg: &WorkloadRegistry, spec: &CampaignSpec, checkpointed: bool) -> u32 {
+/// trials exited early and how each trial ended.
+fn exits_in_cell(
+    reg: &WorkloadRegistry,
+    spec: &CampaignSpec,
+    arms: Arms,
+    checkpointed: bool,
+) -> (u32, Vec<Ending>) {
     let cfg = CampaignConfig {
         trials: 6,
         seed: 0x1E27,
@@ -66,7 +105,9 @@ fn exits_in_cell(reg: &WorkloadRegistry, spec: &CampaignSpec, checkpointed: bool
     let mut early = CampaignRunner::new(&cfg);
     let mut full = CampaignRunner::new(&cfg);
     let mut exits = 0;
-    for (i, model) in draw_models(&cfg, spec.fault, makespan)
+    let mut endings = Vec::new();
+    for (i, model) in arms
+        .models(&cfg, spec.fault, makespan)
         .into_iter()
         .enumerate()
     {
@@ -90,6 +131,7 @@ fn exits_in_cell(reg: &WorkloadRegistry, spec: &CampaignSpec, checkpointed: bool
         assert_eq!(obs.arm_cycle, want.arm_cycle, "{at}: arm cycle");
         assert_eq!(obs.activated, want.activated, "{at}: activation");
         assert_eq!(obs.deadline_cut, want.deadline_cut, "{at}: deadline cut");
+        endings.push((outcome, obs.end_cycle, obs.activated, obs.deadline_cut));
         if trivially_not_activated(model, makespan, deadline) {
             continue; // skipped before any simulation: not an exit
         }
@@ -110,7 +152,24 @@ fn exits_in_cell(reg: &WorkloadRegistry, spec: &CampaignSpec, checkpointed: bool
             exits += 1;
         }
     }
-    exits
+    (exits, endings)
+}
+
+/// Runs one cell from zero and checkpointed through [`exits_in_cell`],
+/// asserting the two end every trial alike; returns the exits of both.
+fn checkpointed_exits_in_cell(reg: &WorkloadRegistry, spec: &CampaignSpec, arms: Arms) -> u32 {
+    let (zero_exits, from_zero) = exits_in_cell(reg, spec, arms, false);
+    let (ck_exits, checkpointed) = exits_in_cell(reg, spec, arms, true);
+    assert_eq!(
+        checkpointed,
+        from_zero,
+        "{}/{:?}@{}/{} ({arms:?}): checkpointed trials diverged from from-zero",
+        spec.workload,
+        spec.policy,
+        spec.replicas,
+        spec.fault.label()
+    );
+    zero_exits + ck_exits
 }
 
 #[test]
@@ -121,12 +180,12 @@ fn early_exit_trials_match_their_full_simulation() {
         for (policy, replicas) in [(PolicyKind::Srrs, 2), (PolicyKind::Slice, 3)] {
             for fault in FAULTS {
                 let spec = CampaignSpec::new(name, policy, fault).with_replicas(replicas);
-                for checkpointed in [false, true] {
-                    exits += exits_in_cell(&reg, &spec, checkpointed);
-                }
+                exits += checkpointed_exits_in_cell(&reg, &spec, Arms::Drawn);
             }
         }
     }
+    let srad = CampaignSpec::new("srad", PolicyKind::Srrs, FAULTS[0]);
+    exits += checkpointed_exits_in_cell(&reg, &srad, Arms::LateWindow);
     assert!(exits > 0, "no trial exited early — the fence is vacuous");
 }
 
