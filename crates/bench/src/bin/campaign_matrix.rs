@@ -54,7 +54,7 @@ use higpu_faults::injector::{FaultInjector, InjectionCounters};
 use higpu_faults::model::FaultModel;
 use higpu_faults::workload::RedundantWorkload;
 use higpu_pipeline::trace_export;
-use higpu_pipeline::{full_pipeline_registry, plan, run_pipeline, ExecMode, FrameOptions};
+use higpu_pipeline::{full_pipeline_registry, plan, run_pipeline, FrameOptions};
 use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::Gpu;
 use higpu_telemetry::{ChromeTrace, EventKind};
@@ -67,8 +67,7 @@ usage: campaign_matrix [--trials N] [--seed S] [--workloads a,b,c]
                        [--policies srrs,half,slice,slice-skewed,default]
                        [--faults transient,droop,permanent,misroute]
                        [--replicas 2,3] [--pipelines ad_pipeline,sensor_fusion]
-                       [--pipeline-trials N] [--exec overlapped,serial]
-                       [--frames N] [--limp-trials N]
+                       [--pipeline-trials N] [--frames N] [--limp-trials N]
                        [--wide-replicas 5] [--wide-trials N]
                        [--checkpoint] [--assert-srrs-clean]
                        [--full-scale] [--check-serial] [--csv] [--json PATH]
@@ -169,15 +168,6 @@ fn parse_args() -> Result<Options, String> {
                         .parse()
                         .map_err(|e| format!("--pipeline-trials: {e}"))?,
                 );
-            }
-            "--exec" => {
-                opts.cfg.pipeline_exec = list(value("--exec")?)?
-                    .iter()
-                    .map(|s| {
-                        ExecMode::parse(s)
-                            .ok_or_else(|| format!("unknown executor '{s}' (overlapped|serial)"))
-                    })
-                    .collect::<Result<_, _>>()?;
             }
             "--frames" => {
                 opts.cfg.limp_frames = value("--frames")?

@@ -33,6 +33,11 @@ pub fn full_registry() -> WorkloadRegistry {
     reg
 }
 
+/// Frame executors every pipeline cell runs under: both, so every cell
+/// pair quantifies the serial-vs-overlapped makespan speedup
+/// ([`MatrixResult::pipeline_speedups`]).
+const PIPELINE_EXECS: [ExecMode; 2] = [ExecMode::Overlapped, ExecMode::Serial];
+
 /// Sweep parameters.
 #[derive(Debug, Clone)]
 pub struct MatrixConfig {
@@ -59,10 +64,6 @@ pub struct MatrixConfig {
     /// is small against a whole frame), so demonstrating in-FTTI recovery
     /// in the artifact wants a few more trials than the workload cells.
     pub pipeline_trials: Option<u32>,
-    /// Frame executors to sweep per pipeline cell. The default runs both,
-    /// so every cell pair quantifies the serial-vs-overlapped makespan
-    /// speedup ([`MatrixResult::pipeline_speedups`]).
-    pub pipeline_exec: Vec<ExecMode>,
     /// Replica counts to sweep (the NMR axis; 2 = the paper's DCLS).
     pub replica_counts: Vec<u8>,
     /// Input scale built per workload.
@@ -118,7 +119,6 @@ impl Default for MatrixConfig {
             faults: vec![FaultSpec::Transient { duration: 400 }, FaultSpec::Permanent],
             pipelines: Vec::new(),
             pipeline_trials: None,
-            pipeline_exec: vec![ExecMode::Overlapped, ExecMode::Serial],
             replica_counts: vec![2, 3],
             scale: Scale::Campaign,
             workers: 0,
@@ -394,15 +394,25 @@ impl MatrixResult {
             .sum()
     }
 
-    /// Total corrected trials across all cells (non-zero only when the
-    /// sweep includes N ≥ 3 replica counts).
+    /// Total corrected trials across all workload cells, wide-device cells
+    /// included (non-zero only when the sweep includes N ≥ 3 replica
+    /// counts).
     pub fn total_corrected(&self) -> u32 {
-        self.reports.iter().map(|r| r.corrected).sum()
+        self.reports
+            .iter()
+            .chain(&self.wide_reports)
+            .map(|r| r.corrected)
+            .sum()
     }
 
-    /// Total pipeline frames recovered by in-FTTI re-execution.
+    /// Total pipeline frames recovered by in-FTTI re-execution, limp-home
+    /// missions included.
     pub fn total_recovered(&self) -> u32 {
-        self.pipeline_reports.iter().map(|r| r.recovered).sum()
+        self.pipeline_reports
+            .iter()
+            .chain(&self.limp_reports)
+            .map(|r| r.recovered)
+            .sum()
     }
 
     /// Undetected failures across pipeline cells under diverse policies
@@ -1156,7 +1166,7 @@ pub fn run_matrix_with_telemetry(
         for name in &cfg.pipelines {
             for &replicas in &cfg.replica_counts {
                 for &policy in &realize_policies(&cfg.policies, replicas) {
-                    for &exec in &cfg.pipeline_exec {
+                    for exec in PIPELINE_EXECS {
                         for &fault in &cfg.faults {
                             let spec = PipelineCampaignSpec {
                                 pipeline: name.clone(),
@@ -1358,7 +1368,7 @@ fn matrix_progress(cfg: &MatrixConfig, workloads: usize) -> ProgressLine {
         .sum();
     let workload_cells = workloads * per_replica * cfg.faults.len();
     let pipeline_cells =
-        cfg.pipelines.len() * per_replica * cfg.pipeline_exec.len() * cfg.faults.len();
+        cfg.pipelines.len() * per_replica * PIPELINE_EXECS.len() * cfg.faults.len();
     let wide_cells = workloads * wide_per_replica * cfg.faults.len();
     let limp_cells = if cfg.limp_frames > 1 && !cfg.pipelines.is_empty() {
         cfg.pipelines.len()
@@ -1429,6 +1439,14 @@ mod tests {
             m.total_corrected() > 0,
             "TMR cells must outvote some faults: {:?}",
             m.reports
+        );
+        // The total counts the wide device's 5MR cells too, which outvote
+        // faults of their own.
+        let wide_corrected: u32 = m.wide_reports.iter().map(|r| r.corrected).sum();
+        assert!(wide_corrected > 0, "{:?}", m.wide_reports);
+        assert_eq!(
+            m.total_corrected(),
+            m.reports.iter().map(|r| r.corrected).sum::<u32>() + wide_corrected
         );
         // Two-replica cells never correct.
         for r in m.reports.iter().filter(|r| r.replicas == 2) {
@@ -1573,7 +1591,6 @@ mod tests {
             faults: vec![FaultSpec::Permanent],
             pipelines: vec!["sensor_fusion".into()],
             pipeline_trials: Some(1),
-            pipeline_exec: vec![ExecMode::Overlapped],
             replica_counts: vec![2],
             wide_replica_counts: Vec::new(),
             limp_trials: Some(2),
@@ -1603,6 +1620,32 @@ mod tests {
         let json = m.to_json();
         assert!(json.contains("\"degraded_mode\""));
         assert!(json.contains("\"quarantined\""));
+    }
+
+    #[test]
+    fn total_recovered_counts_limp_missions() {
+        // A droop in a limp-home mission is retried in-slack and recovers;
+        // the total must count those frames next to the single-frame cells.
+        let reg = full_registry();
+        let cfg = MatrixConfig {
+            trials: 1,
+            workloads: vec!["iterated_fma".into()],
+            policies: vec![PolicyKind::Srrs],
+            faults: vec![FaultSpec::Droop { duration: 400 }],
+            pipelines: vec!["sensor_fusion".into()],
+            pipeline_trials: Some(1),
+            replica_counts: vec![2],
+            wide_replica_counts: Vec::new(),
+            limp_trials: Some(1),
+            ..MatrixConfig::default()
+        };
+        let m = run_matrix(&reg, &cfg).expect("sweep");
+        let limp_recovered: u32 = m.limp_reports.iter().map(|r| r.recovered).sum();
+        assert!(limp_recovered > 0, "{:?}", m.limp_reports);
+        assert_eq!(
+            m.total_recovered(),
+            m.pipeline_reports.iter().map(|r| r.recovered).sum::<u32>() + limp_recovered
+        );
     }
 
     #[test]

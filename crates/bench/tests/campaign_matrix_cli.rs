@@ -32,7 +32,6 @@ fn empty_and_ill_formed_list_values_are_rejected() {
         ["--policies", "srrs,"],
         ["--faults", ",droop"],
         ["--pipelines", ""],
-        ["--exec", "serial,,overlapped"],
         ["--wide-replicas", "5,,7"],
     ] {
         let out = campaign_matrix(&args);

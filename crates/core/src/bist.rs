@@ -18,7 +18,6 @@ use crate::redundancy::{RParam, RedundancyError, RedundancyMode, RedundantExecut
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::gpu::Gpu;
 use higpu_sim::isa::SpecialReg;
-use higpu_sim::kernel::SmPartition;
 use higpu_sim::program::Program;
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ pub struct BistMismatch {
     /// Block index.
     pub block: u32,
     /// SM the policy mandated (`None` when the policy only constrains a
-    /// set, e.g. HALF partitions).
+    /// set, e.g. HALF / SLICE slices).
     pub expected_sm: Option<usize>,
     /// SM recorded in the execution trace.
     pub trace_sm: usize,
@@ -129,25 +128,14 @@ pub fn scheduler_bist(
                         b.block as usize,
                     ))
                 }
-                RedundancyMode::Half => {
-                    let part = if r == 0 {
-                        SmPartition::Lower
-                    } else {
-                        SmPartition::Upper
-                    };
-                    if part.contains(b.sm, num_sms) {
-                        None // constrained to a set; containment holds
-                    } else {
-                        Some(part.range(num_sms).start) // any SM in range; report
-                    }
-                }
-                RedundancyMode::Slice { replicas, .. } => {
+                RedundancyMode::Half | RedundancyMode::Slice { .. } => {
                     // Slices are carved over the healthy index space (see
-                    // `SliceScheduler`): the block's SM must be a healthy SM
-                    // whose healthy-index lies in the replica's slice.
+                    // `SliceScheduler`; HALF is two slices): the block's SM
+                    // must be a healthy SM whose healthy-index lies in the
+                    // replica's slice.
                     let slice = higpu_sim::kernel::SmSlice {
                         index: tag.replica,
-                        of: *replicas,
+                        of: mode.replicas(),
                     };
                     let range = slice.range(healthy.len());
                     match healthy.iter().position(|&sm| sm == b.sm) {

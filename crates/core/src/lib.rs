@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::health::{minority_replicas, sm_bist_sweep, Evidence, HealthMonitor};
     pub use crate::hw_metrics::{FaultRates, HardwareMetrics};
     pub use crate::metrics::{redundant_kernel_cycles, solo_kernel_cycles};
-    pub use crate::policy::{HalfScheduler, PolicyKind, SliceScheduler, SrrsScheduler};
+    pub use crate::policy::{PolicyKind, SliceScheduler, SrrsScheduler};
     pub use crate::redundancy::{
         Comparison, RBuf, RParam, RedundancyError, RedundancyMode, RedundantExecutor,
     };

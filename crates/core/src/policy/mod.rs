@@ -3,14 +3,12 @@
 //! Kernel classification (see [`crate::classify`]) happens at system analysis
 //! time; the most convenient policy is then selected per kernel before
 //! deployment (paper Sec. IV-D): SRRS for *short* and *heavy* kernels, HALF
-//! for *friendly* kernels.
+//! for *friendly* kernels. HALF runs on [`SliceScheduler`] as two slices.
 
-pub mod half;
 pub mod partitioned;
 pub mod slice;
 pub mod srrs;
 
-pub use half::HalfScheduler;
 pub use partitioned::PartitionedScheduler;
 pub use slice::SliceScheduler;
 pub use srrs::SrrsScheduler;
@@ -25,7 +23,7 @@ pub enum PolicyKind {
     Default,
     /// Start / Round-Robin / Serial.
     Srrs,
-    /// Static SM halving.
+    /// Static SM halving (run by the SLICE scheduler as two slices).
     Half,
     /// Static N-way SM slicing (HALF generalized to N replicas).
     Slice,
@@ -46,8 +44,9 @@ impl PolicyKind {
         match self {
             PolicyKind::Default => Box::new(DefaultScheduler::new()),
             PolicyKind::Srrs => Box::new(SrrsScheduler::new()),
-            PolicyKind::Half => Box::new(HalfScheduler::new()),
-            PolicyKind::Slice | PolicyKind::SliceSkewed => Box::new(SliceScheduler::new()),
+            PolicyKind::Half | PolicyKind::Slice | PolicyKind::SliceSkewed => {
+                Box::new(SliceScheduler::new())
+            }
         }
     }
 
@@ -123,7 +122,7 @@ mod tests {
     fn build_produces_matching_names() {
         assert_eq!(PolicyKind::Default.build().name(), "default");
         assert_eq!(PolicyKind::Srrs.build().name(), "srrs");
-        assert_eq!(PolicyKind::Half.build().name(), "half");
+        assert_eq!(PolicyKind::Half.build().name(), "slice");
         assert_eq!(PolicyKind::Slice.build().name(), "slice");
     }
 

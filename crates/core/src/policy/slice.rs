@@ -1,5 +1,5 @@
-//! The SLICE kernel scheduling policy — the N-replica generalization of
-//! HALF (paper Sec. IV-B2).
+//! The SLICE kernel scheduling policy, which also runs HALF (paper
+//! Sec. IV-B2).
 //!
 //! SLICE statically partitions the SMs into N balanced contiguous slices
 //! and confines replica *r* to slice *r* (the `slice` launch attribute):
@@ -7,15 +7,16 @@
 //! * **spatial diversity** is structural — slices are disjoint, so no two
 //!   replicas can ever share an SM;
 //! * **temporal diversity** follows from the serial dispatch of kernels
-//!   from the CPU, exactly as HALF's argument: replica *r* always starts
-//!   at least one dispatch gap before replica *r+1*, and shared-resource
-//!   contention preserves (never inverts) that slack.
+//!   from the CPU: replica *r* always starts at least one dispatch gap
+//!   before replica *r+1*, and shared-resource contention preserves (never
+//!   inverts) that slack (the paper's HALF argument).
 //!
-//! Like HALF — and unlike SRRS — all N replicas execute **concurrently**,
-//! each on `num_sms / N` SMs. HALF is exactly SLICE with N = 2 (up to the
-//! odd-SM-count convention, see [`higpu_sim::kernel::SmSlice`]); the
-//! separate [`crate::policy::HalfScheduler`] is retained so the paper's
-//! two-replica experiments stay bit-identical.
+//! Unlike SRRS, all N replicas execute **concurrently**, each on
+//! `num_sms / N` SMs, which is why it suits *friendly* kernels that cannot
+//! profitably use more SMs anyway. The paper's HALF policy is SLICE with
+//! N = 2: replica 0 on the lower half, replica 1 on the upper half (on an
+//! odd SM count the upper half gets the extra SM, see
+//! [`higpu_sim::kernel::SmSlice`]).
 
 use higpu_sim::scheduler::{KernelSchedulerPolicy, SchedulerView};
 
@@ -51,23 +52,28 @@ impl KernelSchedulerPolicy for SliceScheduler {
         // while after a quarantine the N slices re-balance over the
         // remaining SMs — every replica keeps a disjoint share instead of
         // the slice containing the dead SM silently shrinking (or vanishing).
-        let healthy = crate::policy::srrs::healthy_sms(view.sms());
-        if healthy.is_empty() {
-            return;
-        }
-        let h = healthy.len();
+        // The healthy-SM list is only materialized once an SM has actually
+        // been quarantined, as in SRRS: steady-state scheduling on a healthy
+        // device must not allocate it.
+        let healthy = if view.sms().iter().any(|s| s.quarantined) {
+            let h = crate::policy::srrs::healthy_sms(view.sms());
+            if h.is_empty() {
+                return;
+            }
+            Some(h)
+        } else {
+            None
+        };
+        let h = healthy.as_ref().map_or(n, Vec::len);
         // Kernels in arrival order; each fills its allowed SM range
-        // breadth-first (same dispatch shape as HALF).
-        let ids: Vec<_> = view.kernels().iter().map(|k| k.id).collect();
-        for id in ids {
-            let range = {
-                let Some(k) = view.kernels().iter().find(|k| k.id == id) else {
-                    continue;
-                };
-                match k.attrs.slice {
-                    Some(slice) => slice.range(h),
-                    None => 0..h,
-                }
+        // breadth-first. Assignment never reorders or removes kernels, so
+        // indexing the view's list needs no copy of their ids.
+        for ki in 0..view.kernels().len() {
+            let k = &view.kernels()[ki];
+            let id = k.id;
+            let range = match k.attrs.slice {
+                Some(slice) => slice.range(h),
+                None => 0..h,
             };
             if range.is_empty() {
                 continue; // more slices than healthy SMs: unplaceable, never spin
@@ -75,7 +81,8 @@ impl KernelSchedulerPolicy for SliceScheduler {
             loop {
                 let mut any = false;
                 for hi in range.clone() {
-                    any |= view.try_assign(healthy[hi], id);
+                    let sm = healthy.as_ref().map_or(hi, |v| v[hi]);
+                    any |= view.try_assign(sm, id);
                 }
                 if !any {
                     break;
@@ -134,67 +141,83 @@ mod tests {
         Some(SmSlice { index, of })
     }
 
+    /// One kernel per slice of `of`, each with `blocks` blocks.
+    fn replicas(of: u8, blocks: u32) -> Vec<KernelSnapshot> {
+        (0..of)
+            .map(|r| kernel(u64::from(r), blocks, slice(r, of)))
+            .collect()
+    }
+
     #[test]
     fn three_slices_are_respected_and_concurrent() {
-        let mut view = SchedulerView::new(
-            0,
-            vec![
-                kernel(0, 4, slice(0, 3)),
-                kernel(1, 4, slice(1, 3)),
-                kernel(2, 4, slice(2, 3)),
-            ],
-            (0..6).map(|_| sm_free(8)).collect(),
-        );
-        SliceScheduler::new().assign(&mut view);
-        for a in view.assignments() {
-            let expected = SmSlice {
-                index: a.kernel.0 as u8,
-                of: 3,
-            };
-            assert!(
-                expected.contains(a.sm, 6),
-                "kernel {:?} escaped its slice onto SM {}",
-                a.kernel,
-                a.sm
+        // N = 2 is HALF, N = 3 the TMR slicing: one assign places every
+        // replica in full (no serialization), each inside its own slice.
+        for of in [2u8, 3] {
+            let mut view =
+                SchedulerView::new(0, replicas(of, 4), (0..6).map(|_| sm_free(8)).collect());
+            SliceScheduler::new().assign(&mut view);
+            for a in view.assignments() {
+                let expected = SmSlice {
+                    index: a.kernel.0 as u8,
+                    of,
+                };
+                assert!(
+                    expected.contains(a.sm, 6),
+                    "of={of}: kernel {:?} escaped its slice onto SM {}",
+                    a.kernel,
+                    a.sm
+                );
+            }
+            assert_eq!(
+                view.assignments().len(),
+                4 * usize::from(of),
+                "of={of}: all replicas fully placed"
             );
         }
-        assert_eq!(view.assignments().len(), 12, "all replicas fully placed");
     }
 
     #[test]
     fn unsliced_kernels_use_whole_gpu() {
-        let mut view = SchedulerView::new(
-            0,
-            vec![kernel(0, 6, None)],
-            (0..6).map(|_| sm_free(1)).collect(),
-        );
-        SliceScheduler::new().assign(&mut view);
-        let mut sms: Vec<usize> = view.assignments().iter().map(|a| a.sm).collect();
-        sms.sort_unstable();
-        assert_eq!(sms, vec![0, 1, 2, 3, 4, 5]);
+        // Alone, or launched next to a HALF pair or a TMR triple that each
+        // hold one block slot per SM of their slice: the unhinted kernel
+        // spreads over all six SMs.
+        for of in [0u8, 2, 3] {
+            let mut kernels = if of == 0 {
+                Vec::new()
+            } else {
+                replicas(of, 6 / u32::from(of))
+            };
+            kernels.push(kernel(9, 6, None));
+            let slots = if of == 0 { 1 } else { 2 };
+            let mut view = SchedulerView::new(0, kernels, (0..6).map(|_| sm_free(slots)).collect());
+            SliceScheduler::new().assign(&mut view);
+            let mut sms: Vec<usize> = view
+                .assignments()
+                .iter()
+                .filter(|a| a.kernel == KernelId(9))
+                .map(|a| a.sm)
+                .collect();
+            sms.sort_unstable();
+            assert_eq!(sms, vec![0, 1, 2, 3, 4, 5], "of={of}");
+        }
     }
 
     #[test]
     fn slice_capacity_limits_each_replica() {
-        // One block slot per SM, 3 slices of 2 SMs: each replica gets at
-        // most 2 blocks resident.
-        let mut view = SchedulerView::new(
-            0,
-            vec![
-                kernel(0, 8, slice(0, 3)),
-                kernel(1, 8, slice(1, 3)),
-                kernel(2, 8, slice(2, 3)),
-            ],
-            (0..6).map(|_| sm_free(1)).collect(),
-        );
-        SliceScheduler::new().assign(&mut view);
-        for id in 0..3u64 {
-            let placed = view
-                .assignments()
-                .iter()
-                .filter(|a| a.kernel == KernelId(id))
-                .count();
-            assert_eq!(placed, 2, "kernel {id}");
+        // One block slot per SM: each replica gets at most its slice's SM
+        // count resident (3 under HALF, 2 under 3 slices).
+        for of in [2u8, 3] {
+            let mut view =
+                SchedulerView::new(0, replicas(of, 8), (0..6).map(|_| sm_free(1)).collect());
+            SliceScheduler::new().assign(&mut view);
+            for id in 0..u64::from(of) {
+                let placed = view
+                    .assignments()
+                    .iter()
+                    .filter(|a| a.kernel == KernelId(id))
+                    .count();
+                assert_eq!(placed, 6 / usize::from(of), "of={of} kernel {id}");
+            }
         }
     }
 
@@ -236,18 +259,17 @@ mod tests {
     }
 
     #[test]
-    fn two_slices_match_half_on_even_sm_counts() {
-        let mut view = SchedulerView::new(
-            0,
-            vec![kernel(0, 6, slice(0, 2)), kernel(1, 6, slice(1, 2))],
-            (0..6).map(|_| sm_free(8)).collect(),
-        );
-        SliceScheduler::new().assign(&mut view);
-        for a in view.assignments() {
-            if a.kernel == KernelId(0) {
-                assert!(a.sm < 3, "slice 0 of 2 on SMs 0..3");
-            } else {
-                assert!(a.sm >= 3, "slice 1 of 2 on SMs 3..6");
+    fn half_puts_replica_0_on_the_lower_and_replica_1_on_the_upper_half() {
+        // HALF is SLICE@2. On an odd SM count the upper half gets the extra
+        // SM: 0..3 | 3..6 on six SMs, 0..2 | 2..5 on five.
+        for (n, lower_end) in [(6usize, 3usize), (5, 2)] {
+            let mut view =
+                SchedulerView::new(0, replicas(2, 6), (0..n).map(|_| sm_free(8)).collect());
+            SliceScheduler::new().assign(&mut view);
+            assert_eq!(view.assignments().len(), 12, "n={n}");
+            for a in view.assignments() {
+                let upper = a.kernel == KernelId(1);
+                assert_eq!(a.sm >= lower_end, upper, "n={n}: {a:?}");
             }
         }
     }

@@ -25,7 +25,7 @@ use crate::vote::{majority_vote, VotedWords};
 /// words into the executor's reusable scratch vector.
 pub type ParamFill<'a> = dyn FnMut(usize, &mut Vec<u32>) -> Result<(), RedundancyError> + 'a;
 use higpu_sim::gpu::{DevPtr, Gpu, SimError};
-use higpu_sim::kernel::{Dim3, KernelId, KernelLaunch, LaunchConfig, SmPartition};
+use higpu_sim::kernel::{Dim3, KernelId, KernelLaunch, LaunchConfig};
 use higpu_sim::program::Program;
 use std::sync::Arc;
 
@@ -82,9 +82,10 @@ pub enum RedundancyMode {
         /// Start SM per replica.
         start_sms: Vec<usize>,
     },
-    /// HALF: replica 0 on the lower SM half, replica 1 on the upper half.
-    /// Only defined for two replicas; see [`RedundancyMode::Slice`] for the
-    /// N-replica generalization.
+    /// HALF: replica 0 on the lower SM half, replica 1 on the upper half —
+    /// exactly SLICE with two replicas and no skew, so on an odd SM count
+    /// the upper half gets the extra SM. Only defined for two replicas; see
+    /// [`RedundancyMode::Slice`] for the N-replica generalization.
     Half,
     /// SLICE: the N-replica generalization of HALF — replica *r* confined
     /// to the *r*-th of `replicas` balanced SM slices, all replicas
@@ -626,11 +627,7 @@ impl<'g> RedundantExecutor<'g> {
                     launch = launch.start_sm(start_sms[r]);
                 }
                 RedundancyMode::Half => {
-                    launch = launch.partition(if r == 0 {
-                        SmPartition::Lower
-                    } else {
-                        SmPartition::Upper
-                    });
+                    launch = launch.slice(r as u8, 2);
                 }
                 RedundancyMode::Slice {
                     replicas,

@@ -56,15 +56,6 @@ impl ExecMode {
             ExecMode::Serial => "serial",
         }
     }
-
-    /// Parses a report label (`serial` / `overlapped`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "overlapped" | "overlap" => Some(ExecMode::Overlapped),
-            "serial" => Some(ExecMode::Serial),
-            _ => None,
-        }
-    }
 }
 
 /// How much re-execution a pipeline frame may attempt.

@@ -313,8 +313,7 @@ fn apply_launch(
             RedundancyMode::Srrs { .. } => launch
                 .start_sm(part.start + r * part.len / replicas)
                 .serialize_group(group),
-            // HALF is SLICE@2 within a partition (the whole-device
-            // odd-SM-count convention has no partition-relative analogue).
+            // HALF is SLICE@2 within a partition, as on the whole device.
             RedundancyMode::Half => launch.slice(r as u8, 2),
             RedundancyMode::Slice {
                 replicas: n,

@@ -88,10 +88,8 @@ pub struct LaunchAttrs {
     pub redundant: Option<RedundantTag>,
     /// SRRS hint: SM that receives the first thread block.
     pub start_sm: Option<usize>,
-    /// HALF hint: which SM partition this kernel is confined to.
-    pub partition: Option<SmPartition>,
-    /// SLICE hint: which of N balanced SM slices this kernel is confined to
-    /// (the N-replica generalization of `partition`).
+    /// SLICE / HALF hint: which of N balanced SM slices this kernel is
+    /// confined to (HALF is two slices).
     pub slice: Option<SmSlice>,
     /// SRRS hint: kernels sharing a serialization group are executed one at
     /// a time, on an otherwise idle GPU.
@@ -113,14 +111,12 @@ pub struct LaunchAttrs {
     pub dispatch_delay: u64,
 }
 
-/// One of N equal SM slices used by the SLICE policy (the N-replica
-/// generalization of [`SmPartition`]): slice `index` of `of` owns the SM
-/// range `[index·n/of, (index+1)·n/of)`.
+/// One of N equal SM slices used by the SLICE policy: slice `index` of
+/// `of` owns the SM range `[index·n/of, (index+1)·n/of)`.
 ///
-/// [`SmPartition`] is kept as a distinct two-way type because HALF's
-/// odd-SM-count convention differs (the *lower* half receives the extra SM,
-/// whereas balanced slicing gives later slices the larger share) and the
-/// paper's HALF evaluation depends on it.
+/// The paper's HALF policy is two slices: replica 0 on `[0, n/2)`, replica
+/// 1 on `[n/2, n)`. Balanced slicing gives later slices the larger share,
+/// so on an odd SM count the upper half receives the extra SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SmSlice {
     /// Slice index, `0..of`.
@@ -150,41 +146,6 @@ impl SmSlice {
     pub fn range_in(self, reserve: SmRange) -> std::ops::Range<usize> {
         let r = self.range(reserve.len);
         reserve.start + r.start..reserve.start + r.end
-    }
-}
-
-/// One of the two SM partitions used by the HALF policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SmPartition {
-    /// SMs `[0, n/2)`.
-    Lower,
-    /// SMs `[n/2, n)`.
-    Upper,
-}
-
-impl SmPartition {
-    /// The SM-id range of this partition on a GPU with `num_sms` SMs.
-    ///
-    /// For odd SM counts the lower partition receives the extra SM.
-    pub fn range(self, num_sms: usize) -> std::ops::Range<usize> {
-        let half = num_sms.div_ceil(2);
-        match self {
-            SmPartition::Lower => 0..half,
-            SmPartition::Upper => half..num_sms,
-        }
-    }
-
-    /// True if `sm` belongs to this partition.
-    pub fn contains(self, sm: usize, num_sms: usize) -> bool {
-        self.range(num_sms).contains(&sm)
-    }
-
-    /// The opposite partition.
-    pub fn other(self) -> Self {
-        match self {
-            SmPartition::Lower => SmPartition::Upper,
-            SmPartition::Upper => SmPartition::Lower,
-        }
     }
 }
 
@@ -288,12 +249,6 @@ impl KernelLaunch {
         self
     }
 
-    /// HALF hint: the SM partition for this kernel.
-    pub fn partition(mut self, p: SmPartition) -> Self {
-        self.attrs.partition = Some(p);
-        self
-    }
-
     /// SLICE hint: confines this kernel to slice `index` of `of` balanced
     /// SM slices.
     pub fn slice(mut self, index: u8, of: u8) -> Self {
@@ -370,26 +325,6 @@ mod tests {
         assert_eq!(d.coords(0), (0, 0, 0));
         assert_eq!(d.coords(5), (1, 1, 0));
         assert_eq!(d.coords(23), (3, 2, 1));
-    }
-
-    #[test]
-    fn partition_ranges_cover_all_sms() {
-        for n in 1..=8 {
-            let lo = SmPartition::Lower.range(n);
-            let hi = SmPartition::Upper.range(n);
-            assert_eq!(lo.end, hi.start);
-            assert_eq!(hi.end, n);
-            for sm in 0..n {
-                assert_ne!(
-                    SmPartition::Lower.contains(sm, n),
-                    SmPartition::Upper.contains(sm, n),
-                    "partitions are disjoint and exhaustive"
-                );
-            }
-        }
-        assert_eq!(SmPartition::Lower.range(6), 0..3);
-        assert_eq!(SmPartition::Upper.range(6), 3..6);
-        assert_eq!(SmPartition::Lower.other(), SmPartition::Upper);
     }
 
     #[test]
@@ -472,7 +407,6 @@ mod tests {
             .tag("k0")
             .redundant(7, 1)
             .start_sm(3)
-            .partition(SmPartition::Upper)
             .slice(1, 3)
             .serialize_group(9)
             .reserve(SmRange { start: 2, len: 2 })
@@ -488,7 +422,6 @@ mod tests {
             })
         );
         assert_eq!(l.attrs.start_sm, Some(3));
-        assert_eq!(l.attrs.partition, Some(SmPartition::Upper));
         assert_eq!(l.attrs.slice, Some(SmSlice { index: 1, of: 3 }));
         assert_eq!(l.attrs.serialize_group, Some(9));
     }

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::gpu::{DevPtr, Gpu, SimError};
     pub use crate::isa::CmpOp;
     pub use crate::kernel::{
-        Dim3, KernelId, KernelLaunch, LaunchAttrs, LaunchConfig, RedundantTag, SmPartition,
+        Dim3, KernelId, KernelLaunch, LaunchAttrs, LaunchConfig, RedundantTag,
     };
     pub use crate::program::Program;
     pub use crate::scheduler::{DefaultScheduler, KernelSchedulerPolicy, SchedulerView};

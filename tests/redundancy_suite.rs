@@ -12,6 +12,7 @@ use higpu::core::redundancy::{RParam, RedundancyMode, RedundantExecutor};
 use higpu::sim::builder::KernelBuilder;
 use higpu::sim::config::GpuConfig;
 use higpu::sim::gpu::Gpu;
+use higpu::sim::kernel::SmSlice;
 use higpu::workloads::{RedundantSession, SoloSession, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,17 +118,22 @@ fn suite_runs_are_deterministic() {
 
 #[test]
 fn srrs_and_half_placement_holds_for_random_geometry() {
-    // SRRS places block i on (start + i) % 6 for any start pair; HALF keeps
-    // each replica inside its own half of the device.
+    // On 2 to 10 SMs, SRRS places block i on (start + i) % n for any start
+    // pair; HALF keeps replica r inside SLICE@2's slice r (on an odd count
+    // the upper half holds the extra SM).
     let mut rng = StdRng::seed_from_u64(0x06E0_03E7);
-    for case in 0..16 {
+    for case in 0..24 {
+        let n = rng.gen_range(2..11usize);
         let (blocks, threads) = (rng.gen_range(1..24u32), rng.gen_range(1..128u32));
-        let start_a = rng.gen_range(0..6usize);
+        let start_a = rng.gen_range(0..n);
         let srrs = RedundancyMode::Srrs {
-            start_sms: vec![start_a, (start_a + rng.gen_range(1..6usize)) % 6],
+            start_sms: vec![start_a, (start_a + rng.gen_range(1..n)) % n],
         };
         for mode in [srrs, RedundancyMode::Half] {
-            let mut gpu = Gpu::new(GpuConfig::paper_6sm());
+            let mut gpu = Gpu::new(GpuConfig {
+                num_sms: n,
+                ..GpuConfig::paper_6sm()
+            });
             let mut exec = RedundantExecutor::new(&mut gpu, mode.clone()).expect("mode");
             let mut b = KernelBuilder::new("geom");
             let out = b.param(0);
@@ -150,12 +156,20 @@ fn srrs_and_half_placement_holds_for_random_geometry() {
                 let k = gpu.trace().kernel(rec.kernel).expect("kernel");
                 match &mode {
                     RedundancyMode::Half => {
-                        let upper = k.attrs.redundant.expect("tag").replica != 0;
-                        assert_eq!(rec.sm >= 3, upper, "case {case}: HALF crossed");
+                        let half = SmSlice {
+                            index: k.attrs.redundant.expect("tag").replica,
+                            of: 2,
+                        };
+                        assert!(
+                            half.range(n).contains(&rec.sm),
+                            "case {case}: HALF replica {} on SM {} of {n}",
+                            half.index,
+                            rec.sm
+                        );
                     }
                     _ => {
                         let start = k.attrs.start_sm.expect("srrs hint");
-                        assert_eq!(rec.sm, (start + rec.block as usize) % 6, "case {case}");
+                        assert_eq!(rec.sm, (start + rec.block as usize) % n, "case {case}");
                     }
                 }
             }

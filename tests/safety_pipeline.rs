@@ -129,7 +129,11 @@ fn policy_swap_between_kernels_matches_paper_operation() {
         let mut exec = RedundantExecutor::new(&mut gpu, RedundancyMode::Half).expect("half");
         workload().run(&mut exec).expect("workload");
     }
-    assert_eq!(gpu.policy_name(), "half");
+    assert_eq!(
+        gpu.policy_name(),
+        "slice",
+        "HALF runs on the SLICE scheduler"
+    );
     let report = analyze(gpu.trace(), DiversityRequirements::default());
     assert!(
         report.is_diverse(),
