@@ -25,7 +25,7 @@ use crate::exec::{
     RecoveryPolicy,
 };
 use crate::graph::{Pipeline, PipelineRegistry};
-use crate::limp::{run_limp_home, FrameStatus, LimpHomeReport};
+use crate::limp::{run_limp_home_with, DegradedPlans, FrameStatus, LimpHomeReport};
 use higpu_core::diversity::{analyze, DiversityRequirements};
 use higpu_core::policy::PolicyKind;
 use higpu_core::redundancy::{RedundancyError, RedundancyMode};
@@ -515,14 +515,39 @@ impl PipelineCampaignRunner {
         frames: u32,
         model: FaultModel,
     ) -> Result<(PipelineTrialOutcome, LimpHomeReport), PipelineError> {
+        self.run_limp_trial_with(
+            pipeline,
+            mode,
+            frame_plan,
+            opts,
+            frames,
+            model,
+            &mut DegradedPlans::default(),
+        )
+    }
+
+    /// [`Self::run_limp_trial`] with degraded plans taken from (and added
+    /// to) `plans`, which must belong to this `(pipeline, mode)` cell.
+    #[allow(clippy::too_many_arguments)] // the public trial's inputs plus the memo
+    fn run_limp_trial_with(
+        &mut self,
+        pipeline: &Pipeline,
+        mode: &RedundancyMode,
+        frame_plan: &PipelinePlan,
+        opts: FrameOptions,
+        frames: u32,
+        model: FaultModel,
+        plans: &mut DegradedPlans,
+    ) -> Result<(PipelineTrialOutcome, LimpHomeReport), PipelineError> {
         let counters = self.arm(model);
-        let rep = match run_limp_home(
+        let rep = match run_limp_home_with(
             &mut self.gpu,
             pipeline,
             mode,
             frame_plan,
             opts,
             frames as usize,
+            plans,
         ) {
             Err(e) if is_inert_exit(&e) => {
                 return Ok((
@@ -770,19 +795,21 @@ fn finish_report(
 /// reduced to the order-independent counts.
 fn run_one_trial(
     runner: &mut PipelineCampaignRunner,
+    plans: &mut DegradedPlans,
     spec: &PipelineCampaignSpec,
     resolved: &ResolvedSpec,
     model: FaultModel,
     counts: &mut PipelineCounts,
 ) -> Result<(), PipelineError> {
     if spec.frames > 1 {
-        let (outcome, rep) = runner.run_limp_trial(
+        let (outcome, rep) = runner.run_limp_trial_with(
             &resolved.pipeline,
             &resolved.mode,
             &resolved.frame_plan,
             resolved.opts,
             spec.frames,
             model,
+            plans,
         )?;
         counts.add_limp(outcome, &rep);
     } else {
@@ -813,9 +840,10 @@ pub fn run_pipeline_campaign_serial(
 ) -> Result<PipelineCampaignReport, PipelineCampaignError> {
     let resolved = resolve(cfg, reg, spec)?;
     let mut runner = PipelineCampaignRunner::new(cfg);
+    let mut plans = DegradedPlans::default();
     let mut counts = PipelineCounts::default();
     for &model in &resolved.models {
-        run_one_trial(&mut runner, spec, &resolved, model, &mut counts)?;
+        run_one_trial(&mut runner, &mut plans, spec, &resolved, model, &mut counts)?;
     }
     Ok(finish_report(spec, &resolved, cfg.trials, counts))
 }
@@ -839,9 +867,17 @@ pub fn run_pipeline_campaign(
     let parts = run_pool(
         resolved.models.len(),
         cfg.resolved_workers(),
-        || (PipelineCampaignRunner::new(cfg), PipelineCounts::default()),
-        |(runner, counts), i| run_one_trial(runner, spec, &resolved, resolved.models[i], counts),
-        |(_, counts)| counts,
+        || {
+            (
+                PipelineCampaignRunner::new(cfg),
+                DegradedPlans::default(),
+                PipelineCounts::default(),
+            )
+        },
+        |(runner, plans, counts), i| {
+            run_one_trial(runner, plans, spec, &resolved, resolved.models[i], counts)
+        },
+        |(_, _, counts)| counts,
     )?;
     let mut counts = PipelineCounts::default();
     for c in parts {

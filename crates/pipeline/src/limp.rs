@@ -32,8 +32,10 @@ use crate::exec::{plan_degraded, FrameOptions, PipelineError, PipelinePlan, Pipe
 use crate::graph::Pipeline;
 use higpu_core::health::{sm_bist_sweep, Evidence, HealthMonitor};
 use higpu_core::redundancy::{RedundancyError, RedundancyMode};
+use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::Gpu;
 use higpu_workloads::SessionError;
+use std::collections::HashMap;
 
 /// The operating state a frame executed (or was skipped) under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,6 +215,51 @@ pub fn run_limp_home(
     opts: FrameOptions,
     frames: usize,
 ) -> Result<LimpHomeReport, PipelineError> {
+    run_limp_home_with(
+        gpu,
+        pipeline,
+        mode,
+        initial_plan,
+        opts,
+        frames,
+        &mut DegradedPlans::default(),
+    )
+}
+
+/// Degraded plans already calibrated, keyed by the quarantined SM list.
+/// [`plan_degraded`] is a pure function of the device config, that list,
+/// the pipeline and the mode; only the list varies between the missions of
+/// one campaign cell, so a memo serves one cell and must not outlive it.
+#[derive(Debug, Default)]
+pub(crate) struct DegradedPlans(HashMap<Vec<usize>, PipelinePlan>);
+
+impl DegradedPlans {
+    fn plan(
+        &mut self,
+        gpu_cfg: &GpuConfig,
+        quarantined: &[usize],
+        pipeline: &Pipeline,
+        mode: &RedundancyMode,
+    ) -> Result<PipelinePlan, PipelineError> {
+        if let Some(p) = self.0.get(quarantined) {
+            return Ok(p.clone());
+        }
+        let p = plan_degraded(gpu_cfg, quarantined, pipeline, mode)?;
+        self.0.insert(quarantined.to_vec(), p.clone());
+        Ok(p)
+    }
+}
+
+/// [`run_limp_home`] with degraded plans taken from (and added to) `plans`.
+pub(crate) fn run_limp_home_with(
+    gpu: &mut Gpu,
+    pipeline: &Pipeline,
+    mode: &RedundancyMode,
+    initial_plan: &PipelinePlan,
+    opts: FrameOptions,
+    frames: usize,
+    plans: &mut DegradedPlans,
+) -> Result<LimpHomeReport, PipelineError> {
     let sim_err = |e| PipelineError::Session(SessionError::Sim(e));
     let replicas = usize::from(mode.replicas());
     let mut monitor = HealthMonitor::new(gpu.config().num_sms);
@@ -293,7 +340,7 @@ pub fn run_limp_home(
                 // Limp-home re-planning: re-derive every budget for the
                 // shrunken device on a scratch clone (the mission clock
                 // must not pay for calibration).
-                match plan_degraded(gpu.config(), &report.quarantined, pipeline, mode) {
+                match plans.plan(gpu.config(), &report.quarantined, pipeline, mode) {
                     Ok(p) => {
                         report.degraded_plan = Some(p.clone());
                         current = p;
@@ -394,6 +441,42 @@ mod tests {
         for f in &rep.frames[1..] {
             assert!(f.makespan() <= f.e2e_budget);
         }
+    }
+
+    #[test]
+    fn a_memoized_degraded_plan_reproduces_the_mission() {
+        let p = ad_pipeline(Scale::Campaign);
+        let mode = higpu_core::redundancy::RedundancyMode::srrs_spread(10, 2);
+        let nominal = plan(&cfg(), &p, &mode).expect("calibration");
+        let mission = |plans: &mut DegradedPlans| {
+            let mut gpu = Gpu::new(cfg());
+            gpu.set_fault_hook(Box::new(FaultInjector::new(
+                FaultModel::PermanentSm {
+                    sm: 3,
+                    from_cycle: 0,
+                    bit: 5,
+                },
+                InjectionCounters::shared(),
+            )));
+            run_limp_home_with(
+                &mut gpu,
+                &p,
+                &mode,
+                &nominal,
+                FrameOptions::default(),
+                4,
+                plans,
+            )
+            .expect("mission runs")
+        };
+        let mut plans = DegradedPlans::default();
+        let calibrated = mission(&mut plans);
+        assert_eq!(plans.0.len(), 1, "one quarantined set, one calibration");
+        assert_eq!(mission(&mut plans), calibrated, "the memoized plan replays");
+        assert_eq!(
+            plans.0.get([3].as_slice()),
+            Some(&plan_degraded(&cfg(), &[3], &p, &mode).expect("degraded plan"))
+        );
     }
 
     #[test]

@@ -7,15 +7,27 @@
 //! dependencies have all delivered, the executor reserves a contiguous SM
 //! partition for it ([`higpu_sim::partition::SmPartitionTable`]; every
 //! concurrently-ready stage gets an equal share of the free SMs, never
-//! fewer than one SM per replica) and starts the stage's host program on a
-//! worker thread. The worker drives an ordinary [`GpuSession`] whose
-//! operations are **rendezvous messages**: every session call blocks until
-//! the executor applies it to the shared device and replies. Workers are
-//! therefore fully lock-stepped — the executor decides, in deterministic
-//! stage order, whose operation is applied next — so the interleaving (and
-//! with it every simulated cycle) is a pure function of the frame inputs,
-//! exactly like the serial executor. Thread scheduling can change *wall
-//! clock* time, never results.
+//! fewer than one SM per replica) and starts the stage's host program,
+//! which drives an ordinary [`GpuSession`]. Every session call is applied
+//! to the shared device by one function (`apply`), over one of two
+//! transports:
+//!
+//! * **Inline** — a *lone* stage (it starts with no other branch running
+//!   and is the only ready stage, or it is a retry whose branch is the only
+//!   one left and nothing else is ready) runs its host program directly on
+//!   the executor thread. A blocking `sync`/`read` advances the device
+//!   itself, exactly as the executor loop would for one parked branch. No
+//!   other stage can become ready before a lone branch finishes, so the
+//!   order of device operations is the same as on the threaded transport.
+//! * **Threaded** — branches that really run beside a sibling get a worker
+//!   thread each, and their session operations become **rendezvous
+//!   messages**: every call blocks until the executor applies it and
+//!   replies. Workers are fully lock-stepped — the executor decides, in
+//!   deterministic stage order, whose operation is applied next — so the
+//!   interleaving (and with it every simulated cycle) is a pure function of
+//!   the frame inputs, exactly like the serial executor. Thread scheduling
+//!   can change *wall clock* time, never results. A worker whose host
+//!   program panics has its own panic re-raised on the executor thread.
 //!
 //! Replica fan-out happens at the executor: an `alloc` becomes N device
 //! allocations, a `write` N uploads, a `launch` N kernel launches carrying
@@ -51,35 +63,74 @@ use higpu_sim::partition::{SmPartitionTable, SmRange, SmReservation};
 use higpu_sim::program::Program;
 use higpu_telemetry::EventKind;
 use higpu_workloads::{BufId, GpuSession, SParam, SessionError};
+use std::borrow::Cow;
+use std::panic;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, ScopedJoinHandle};
 
-/// One session operation, shipped from a branch worker to the executor.
-enum Op {
+/// One session operation of a branch. Host data is borrowed on the inline
+/// transport and owned once it crosses a thread.
+enum Op<'a> {
     Alloc {
         words: u32,
     },
     WriteU32 {
         buf: BufId,
-        data: Vec<u32>,
+        data: Cow<'a, [u32]>,
     },
     WriteF32 {
         buf: BufId,
-        data: Vec<f32>,
+        data: Cow<'a, [f32]>,
     },
     Launch {
         program: Arc<Program>,
         grid: Dim3,
         block: Dim3,
         shared_mem_bytes: u32,
-        params: Vec<SParam>,
+        params: Cow<'a, [SParam]>,
     },
     Sync,
     ReadU32 {
         buf: BufId,
         words: usize,
     },
+}
+
+impl Op<'_> {
+    fn into_owned(self) -> Op<'static> {
+        match self {
+            Op::Alloc { words } => Op::Alloc { words },
+            Op::WriteU32 { buf, data } => Op::WriteU32 {
+                buf,
+                data: Cow::Owned(data.into_owned()),
+            },
+            Op::WriteF32 { buf, data } => Op::WriteF32 {
+                buf,
+                data: Cow::Owned(data.into_owned()),
+            },
+            Op::Launch {
+                program,
+                grid,
+                block,
+                shared_mem_bytes,
+                params,
+            } => Op::Launch {
+                program,
+                grid,
+                block,
+                shared_mem_bytes,
+                params: Cow::Owned(params.into_owned()),
+            },
+            Op::Sync => Op::Sync,
+            Op::ReadU32 { buf, words } => Op::ReadU32 { buf, words },
+        }
+    }
+}
+
+/// What a branch worker thread sends the executor.
+enum Msg {
+    Op(Op<'static>),
     /// The host program returned; carries its result.
     Done(Result<Vec<u32>, SessionError>),
 }
@@ -92,23 +143,37 @@ enum Reply {
     Fail(SessionError),
 }
 
-/// The worker-side session: every call is a rendezvous with the executor.
-struct ChannelSession {
-    ops: Sender<Op>,
-    replies: Receiver<Reply>,
+/// A blocking op deferred until the branch's kernels finish.
+enum Wait {
+    Sync,
+    Read { buf: BufId, words: usize },
 }
 
-impl ChannelSession {
-    fn call(&mut self, op: Op) -> Result<Reply, SessionError> {
-        self.ops.send(op).expect("frame executor disappeared");
-        match self.replies.recv().expect("frame executor disappeared") {
+/// What applying one op came to.
+enum Applied {
+    Reply(Reply),
+    /// A blocking op whose kernels are still in flight.
+    Park(Wait),
+}
+
+/// How a branch's session calls reach the executor.
+trait Transport {
+    fn call(&mut self, op: Op<'_>) -> Reply;
+}
+
+/// The branch-side [`GpuSession`] over either transport.
+struct Session<T>(T);
+
+impl<T: Transport> Session<T> {
+    fn call(&mut self, op: Op<'_>) -> Result<Reply, SessionError> {
+        match self.0.call(op) {
             Reply::Fail(e) => Err(e),
             r => Ok(r),
         }
     }
 }
 
-impl GpuSession for ChannelSession {
+impl<T: Transport> GpuSession for Session<T> {
     fn alloc_words(&mut self, words: u32) -> Result<BufId, SessionError> {
         match self.call(Op::Alloc { words })? {
             Reply::Buf(b) => Ok(b),
@@ -119,7 +184,7 @@ impl GpuSession for ChannelSession {
     fn write_u32(&mut self, buf: BufId, data: &[u32]) -> Result<(), SessionError> {
         self.call(Op::WriteU32 {
             buf,
-            data: data.to_vec(),
+            data: Cow::Borrowed(data),
         })?;
         Ok(())
     }
@@ -127,7 +192,7 @@ impl GpuSession for ChannelSession {
     fn write_f32(&mut self, buf: BufId, data: &[f32]) -> Result<(), SessionError> {
         self.call(Op::WriteF32 {
             buf,
-            data: data.to_vec(),
+            data: Cow::Borrowed(data),
         })?;
         Ok(())
     }
@@ -145,7 +210,7 @@ impl GpuSession for ChannelSession {
             grid,
             block,
             shared_mem_bytes,
-            params: params.to_vec(),
+            params: Cow::Borrowed(params),
         })?;
         Ok(())
     }
@@ -163,13 +228,99 @@ impl GpuSession for ChannelSession {
     }
 }
 
+/// The worker-thread transport of an overlapping branch: every call is a
+/// rendezvous with the executor.
+struct Channel {
+    msgs: Sender<Msg>,
+    replies: Receiver<Reply>,
+}
+
+impl Transport for Channel {
+    fn call(&mut self, op: Op<'_>) -> Reply {
+        self.msgs
+            .send(Msg::Op(op.into_owned()))
+            .expect("frame executor disappeared");
+        self.replies.recv().expect("frame executor disappeared")
+    }
+}
+
+/// The executor-thread transport of a lone branch: every call is applied
+/// directly, and a blocking call advances the device itself.
+struct Inline<'a, 'scope> {
+    gpu: &'a mut Gpu,
+    mode: &'a RedundancyMode,
+    next_group: &'a mut u32,
+    branch: &'a mut Branch<'scope>,
+    /// A device error other than the branch's own watchdog; it ends the
+    /// frame once the host program has unwound.
+    fatal: Option<SimError>,
+}
+
+impl Transport for Inline<'_, '_> {
+    fn call(&mut self, op: Op<'_>) -> Reply {
+        let wait = match apply(self.gpu, self.mode, self.next_group, self.branch, op) {
+            Applied::Reply(r) => return r,
+            Applied::Park(wait) => wait,
+        };
+        // What the executor loop does for one parked branch: arm the
+        // watchdog with the branch's limit and run until its own kernels
+        // complete.
+        let branch = &mut *self.branch;
+        self.gpu.set_cycle_limit(Some(branch.limit));
+        let advanced = self.gpu.run_until(|g| branch.pending_finished(g));
+        self.gpu.set_cycle_limit(None);
+        match advanced {
+            Ok(_) => resume(self.gpu, usize::from(self.mode.replicas()), branch, wait),
+            Err(SimError::DeadlineExceeded { .. }) => {
+                let now = self.gpu.cycle();
+                Reply::Fail(branch.expire(self.gpu, now))
+            }
+            Err(e) => {
+                // Refuse the program's remaining ops while it unwinds.
+                branch.poisoned = true;
+                self.fatal = Some(e.clone());
+                Reply::Fail(SessionError::Sim(e))
+            }
+        }
+    }
+}
+
 /// A logical branch buffer: one physical allocation per replica.
 struct Replicated {
     ptrs: Vec<DevPtr>,
 }
 
+/// The thread and channels of a branch that runs beside a sibling.
+struct Worker<'scope> {
+    msgs: Receiver<Msg>,
+    replies: Sender<Reply>,
+    handle: Option<ScopedJoinHandle<'scope, ()>>,
+}
+
+impl Worker<'_> {
+    /// The worker's next message, or `None` once it has exited after
+    /// sending `Done`. A worker whose channel closes without `Done`
+    /// panicked: its own panic is re-raised here.
+    fn recv(&mut self) -> Option<Msg> {
+        if let Ok(msg) = self.msgs.recv() {
+            return Some(msg);
+        }
+        let handle = self.handle.take().expect("a stage worker is joined once");
+        match handle.join() {
+            Ok(()) => None,
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    }
+
+    fn reply(&self, r: Reply) {
+        // A send can only fail if the worker panicked; `recv` re-raises
+        // that panic, so the lost reply is irrelevant.
+        let _ = self.replies.send(r);
+    }
+}
+
 /// One running stage attempt (plus its cross-attempt accumulation).
-struct Branch {
+struct Branch<'scope> {
     stage: usize,
     name: &'static str,
     reservation: SmReservation,
@@ -190,20 +341,21 @@ struct Branch {
     /// DCLS traffic, summed over all attempts of this stage.
     bytes_up: u64,
     bytes_down: u64,
-    /// The deferred blocking op (`Sync`/`ReadU32`) while waiting on kernels.
-    blocked: Option<Op>,
+    /// The deferred blocking op while a threaded branch waits on kernels.
+    blocked: Option<Wait>,
     /// The current attempt's watchdog fired; every further op is refused
-    /// until the worker unwinds with `Done(Err(..))`.
+    /// until the host program unwinds.
     poisoned: bool,
-    ops: Receiver<Op>,
-    replies: Sender<Reply>,
+    /// The current attempt's worker thread; `None` for a lone attempt,
+    /// which runs inline.
+    worker: Option<Worker<'scope>>,
 }
 
-impl Branch {
-    fn reply(&self, r: Reply) {
-        // A send can only fail if the worker panicked; the panic surfaces
-        // at scope join, so the lost reply is irrelevant.
-        let _ = self.replies.send(r);
+impl<'scope> Branch<'scope> {
+    fn worker(&mut self) -> &mut Worker<'scope> {
+        self.worker
+            .as_mut()
+            .expect("only a threaded branch exchanges messages")
     }
 
     fn pending_finished(&self, gpu: &Gpu) -> bool {
@@ -212,6 +364,23 @@ impl Branch {
 
     fn partition(&self) -> SmRange {
         self.reservation.range()
+    }
+
+    fn deadline_error(&self, cycle: u64) -> SessionError {
+        SessionError::Sim(SimError::DeadlineExceeded {
+            cycle,
+            limit: self.limit,
+        })
+    }
+
+    /// The current attempt overran its limit at cycle `now`: cancel its
+    /// kernels (its partition empties; siblings are untouched) and poison
+    /// it. Returns the error its blocked op fails with.
+    fn expire(&mut self, gpu: &mut Gpu, now: u64) -> SessionError {
+        gpu.cancel_kernels(&self.kernels);
+        self.pending.clear();
+        self.poisoned = true;
+        self.deadline_error(now)
     }
 
     /// The branch's timeline record, closed at cycle `now` with `status` —
@@ -234,7 +403,7 @@ impl Branch {
     }
 }
 
-/// What serving a branch's op stream ended with.
+/// What serving a threaded branch's op stream ended with.
 enum Served {
     /// The branch parked on a blocking op (kernels still in flight).
     Blocked,
@@ -251,23 +420,80 @@ enum StageState {
     Failed,
 }
 
+/// The pending stages whose dependencies have all delivered, in stage
+/// order.
+fn ready_stages(pipeline: &Pipeline, state: &[StageState]) -> Vec<usize> {
+    (0..pipeline.len())
+        .filter(|&s| {
+            state[s] == StageState::Pending
+                && pipeline.stages()[s]
+                    .deps
+                    .iter()
+                    .all(|&d| state[d] == StageState::Done)
+        })
+        .collect()
+}
+
+/// The voted outputs of `stage`'s dependencies.
+fn stage_inputs<'a>(stage: &Stage, run: &'a PipelineRun) -> Vec<&'a [u32]> {
+    stage
+        .deps
+        .iter()
+        .map(|&d| run.outputs[d].as_slice())
+        .collect()
+}
+
+/// Starts one attempt of `stage` on a worker thread.
 fn spawn_attempt<'scope, 'env>(
     scope: &'scope thread::Scope<'scope, 'env>,
     stage: &'env Stage,
-    inputs: Vec<Vec<u32>>,
-) -> (Receiver<Op>, Sender<Reply>) {
-    let (op_tx, op_rx) = channel();
+    run: &PipelineRun,
+) -> Worker<'scope> {
+    let inputs: Vec<Vec<u32>> = stage_inputs(stage, run)
+        .into_iter()
+        .map(<[u32]>::to_vec)
+        .collect();
+    let (msg_tx, msg_rx) = channel();
     let (reply_tx, reply_rx) = channel();
-    scope.spawn(move || {
-        let mut session = ChannelSession {
-            ops: op_tx,
+    let handle = scope.spawn(move || {
+        let mut session = Session(Channel {
+            msgs: msg_tx,
             replies: reply_rx,
-        };
+        });
         let refs: Vec<&[u32]> = inputs.iter().map(Vec::as_slice).collect();
         let result = stage.program.run(&mut session, &refs);
-        let _ = session.ops.send(Op::Done(result));
+        let _ = session.0.msgs.send(Msg::Done(result));
     });
-    (op_rx, reply_tx)
+    Worker {
+        msgs: msg_rx,
+        replies: reply_tx,
+        handle: Some(handle),
+    }
+}
+
+/// Runs a lone branch's current attempt to completion on the executor
+/// thread. The outer error is a device error that ends the frame; the
+/// inner result is the host program's own.
+fn run_inline(
+    gpu: &mut Gpu,
+    mode: &RedundancyMode,
+    next_group: &mut u32,
+    branch: &mut Branch<'_>,
+    stage: &Stage,
+    inputs: &[&[u32]],
+) -> Result<Result<Vec<u32>, SessionError>, PipelineError> {
+    let mut session = Session(Inline {
+        gpu,
+        mode,
+        next_group,
+        branch,
+        fatal: None,
+    });
+    let result = stage.program.run(&mut session, inputs);
+    match session.0.fatal {
+        Some(e) => Err(SessionError::Sim(e).into()),
+        None => Ok(result),
+    }
 }
 
 /// Launches all replicas of one logical kernel of `branch`, carrying the
@@ -278,7 +504,7 @@ fn apply_launch(
     gpu: &mut Gpu,
     mode: &RedundancyMode,
     next_group: &mut u32,
-    branch: &mut Branch,
+    branch: &mut Branch<'_>,
     program: &Arc<Program>,
     grid: Dim3,
     block: Dim3,
@@ -331,7 +557,13 @@ fn apply_launch(
 
 /// Reads all replica copies of a branch buffer and majority-votes them —
 /// [`higpu_workloads::RedundantSession`]'s tolerant read, at the executor.
-fn vote_read(gpu: &Gpu, replicas: usize, branch: &mut Branch, buf: BufId, words: usize) -> Reply {
+fn vote_read(
+    gpu: &Gpu,
+    replicas: usize,
+    branch: &mut Branch<'_>,
+    buf: BufId,
+    words: usize,
+) -> Reply {
     // The full requested length, unclamped — exactly what the serial
     // executor's `read_vote_u32` reads (an over-long read is the stage
     // program's bug and must behave identically on both executors).
@@ -354,123 +586,145 @@ fn vote_read(gpu: &Gpu, replicas: usize, branch: &mut Branch, buf: BufId, words:
     Reply::Words(vote.value)
 }
 
-/// Serves one branch's op stream until it blocks or its program returns.
+/// Completes a blocking op once the branch's kernels have all finished.
+fn resume(gpu: &Gpu, replicas: usize, branch: &mut Branch<'_>, wait: Wait) -> Reply {
+    branch.pending.clear();
+    match wait {
+        Wait::Sync => Reply::Unit,
+        Wait::Read { buf, words } => vote_read(gpu, replicas, branch, buf, words),
+    }
+}
+
+/// Applies one session op of `branch` to the shared device — the one path
+/// both transports take. A blocking op whose kernels are still in flight
+/// comes back as [`Applied::Park`].
+fn apply(
+    gpu: &mut Gpu,
+    mode: &RedundancyMode,
+    next_group: &mut u32,
+    branch: &mut Branch<'_>,
+    op: Op<'_>,
+) -> Applied {
+    if branch.poisoned {
+        // The attempt's deadline already fired; refuse everything until
+        // the host program unwinds.
+        return Applied::Reply(Reply::Fail(branch.deadline_error(gpu.cycle())));
+    }
+    let replicas = usize::from(mode.replicas());
+    let reply = match op {
+        Op::Alloc { words } => {
+            let mut ptrs = Vec::with_capacity(replicas);
+            let mut failure = None;
+            for _ in 0..replicas {
+                match gpu.alloc_words(words) {
+                    Ok(p) => ptrs.push(p),
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
+                    }
+                }
+            }
+            match failure {
+                Some(e) => Reply::Fail(SessionError::Sim(e)),
+                None => {
+                    branch.buffers.push(Replicated { ptrs });
+                    Reply::Buf(BufId::from_index(branch.buffers.len() - 1))
+                }
+            }
+        }
+        Op::WriteU32 { buf, data } => {
+            for r in 0..replicas {
+                gpu.write_u32(branch.buffers[buf.index()].ptrs[r], &data);
+            }
+            branch.bytes_up += 4 * data.len() as u64 * replicas as u64;
+            Reply::Unit
+        }
+        Op::WriteF32 { buf, data } => {
+            for r in 0..replicas {
+                gpu.write_f32(branch.buffers[buf.index()].ptrs[r], &data);
+            }
+            branch.bytes_up += 4 * data.len() as u64 * replicas as u64;
+            Reply::Unit
+        }
+        Op::Launch {
+            program,
+            grid,
+            block,
+            shared_mem_bytes,
+            params,
+        } => match apply_launch(
+            gpu,
+            mode,
+            next_group,
+            branch,
+            &program,
+            grid,
+            block,
+            shared_mem_bytes,
+            &params,
+        ) {
+            Ok(()) => Reply::Unit,
+            Err(e) => Reply::Fail(e),
+        },
+        Op::Sync => return block_on(gpu, replicas, branch, Wait::Sync),
+        Op::ReadU32 { buf, words } => {
+            return block_on(gpu, replicas, branch, Wait::Read { buf, words })
+        }
+    };
+    Applied::Reply(reply)
+}
+
+/// A blocking op: completed at once when the branch's kernels have all
+/// finished, parked otherwise.
+fn block_on(gpu: &Gpu, replicas: usize, branch: &mut Branch<'_>, wait: Wait) -> Applied {
+    if branch.pending_finished(gpu) {
+        Applied::Reply(resume(gpu, replicas, branch, wait))
+    } else {
+        Applied::Park(wait)
+    }
+}
+
+/// Serves a threaded branch's op stream until it blocks or its program
+/// returns.
 fn serve(
     gpu: &mut Gpu,
     mode: &RedundancyMode,
     next_group: &mut u32,
-    branch: &mut Branch,
+    branch: &mut Branch<'_>,
 ) -> Served {
-    let replicas = usize::from(mode.replicas());
     loop {
-        let op = branch.ops.recv().expect("stage worker vanished");
-        if branch.poisoned && !matches!(op, Op::Done(_)) {
-            // The attempt's deadline already fired; refuse everything
-            // until the worker unwinds.
-            branch.reply(Reply::Fail(SessionError::Sim(SimError::DeadlineExceeded {
-                cycle: gpu.cycle(),
-                limit: branch.limit,
-            })));
-            continue;
-        }
-        match op {
-            Op::Alloc { words } => {
-                let mut ptrs = Vec::with_capacity(replicas);
-                let mut failure = None;
-                for _ in 0..replicas {
-                    match gpu.alloc_words(words) {
-                        Ok(p) => ptrs.push(p),
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                match failure {
-                    Some(e) => branch.reply(Reply::Fail(SessionError::Sim(e))),
-                    None => {
-                        branch.buffers.push(Replicated { ptrs });
-                        branch.reply(Reply::Buf(BufId::from_index(branch.buffers.len() - 1)));
-                    }
-                }
+        let msg = branch
+            .worker()
+            .recv()
+            .expect("a running stage worker sends Done before it exits");
+        let op = match msg {
+            Msg::Op(op) => op,
+            Msg::Done(result) => return Served::Finished(result),
+        };
+        match apply(gpu, mode, next_group, branch, op) {
+            Applied::Reply(r) => branch.worker().reply(r),
+            Applied::Park(wait) => {
+                branch.blocked = Some(wait);
+                return Served::Blocked;
             }
-            Op::WriteU32 { buf, data } => {
-                for r in 0..replicas {
-                    gpu.write_u32(branch.buffers[buf.index()].ptrs[r], &data);
-                }
-                branch.bytes_up += 4 * data.len() as u64 * replicas as u64;
-                branch.reply(Reply::Unit);
-            }
-            Op::WriteF32 { buf, data } => {
-                for r in 0..replicas {
-                    gpu.write_f32(branch.buffers[buf.index()].ptrs[r], &data);
-                }
-                branch.bytes_up += 4 * data.len() as u64 * replicas as u64;
-                branch.reply(Reply::Unit);
-            }
-            Op::Launch {
-                program,
-                grid,
-                block,
-                shared_mem_bytes,
-                params,
-            } => {
-                match apply_launch(
-                    gpu,
-                    mode,
-                    next_group,
-                    branch,
-                    &program,
-                    grid,
-                    block,
-                    shared_mem_bytes,
-                    &params,
-                ) {
-                    Ok(()) => branch.reply(Reply::Unit),
-                    Err(e) => branch.reply(Reply::Fail(e)),
-                }
-            }
-            Op::Sync => {
-                if branch.pending_finished(gpu) {
-                    branch.pending.clear();
-                    branch.reply(Reply::Unit);
-                } else {
-                    branch.blocked = Some(Op::Sync);
-                    return Served::Blocked;
-                }
-            }
-            Op::ReadU32 { buf, words } => {
-                if branch.pending_finished(gpu) {
-                    branch.pending.clear();
-                    let reply = vote_read(gpu, replicas, branch, buf, words);
-                    branch.reply(reply);
-                } else {
-                    branch.blocked = Some(Op::ReadU32 { buf, words });
-                    return Served::Blocked;
-                }
-            }
-            Op::Done(result) => return Served::Finished(result),
         }
     }
 }
 
 /// Unwinds and drains every remaining branch (cancelling its kernels and
 /// releasing its partition) — the frame-abandonment path shared by
-/// fail-stop and fatal errors.
-fn abort_all(gpu: &mut Gpu, table: &mut SmPartitionTable, branches: &mut Vec<Branch>) {
-    for b in branches.drain(..) {
+/// fail-stop and fatal errors. Only threaded branches have a worker to
+/// drain.
+fn abort_all(gpu: &mut Gpu, table: &mut SmPartitionTable, branches: &mut Vec<Branch<'_>>) {
+    for mut b in branches.drain(..) {
         gpu.cancel_kernels(&b.kernels);
-        let abort = SessionError::Sim(SimError::DeadlineExceeded {
-            cycle: gpu.cycle(),
-            limit: b.limit,
-        });
-        if b.blocked.is_some() {
-            b.reply(Reply::Fail(abort.clone()));
-        }
-        loop {
-            match b.ops.recv() {
-                Ok(Op::Done(_)) | Err(_) => break,
-                Ok(_) => b.reply(Reply::Fail(abort.clone())),
+        let abort = b.deadline_error(gpu.cycle());
+        if let Some(worker) = b.worker.as_mut() {
+            if b.blocked.is_some() {
+                worker.reply(Reply::Fail(abort.clone()));
+            }
+            while let Some(Msg::Op(_)) = worker.recv() {
+                worker.reply(Reply::Fail(abort.clone()));
             }
         }
         table.release(b.reservation);
@@ -561,15 +815,7 @@ pub(crate) fn run_overlapped(
                         if failed {
                             break;
                         }
-                        let ready: Vec<usize> = (0..pipeline.len())
-                            .filter(|&s| {
-                                state[s] == StageState::Pending
-                                    && pipeline.stages()[s]
-                                        .deps
-                                        .iter()
-                                        .all(|&d| state[d] == StageState::Done)
-                            })
-                            .collect();
+                        let ready = ready_stages(pipeline, &state);
                         let Some(&s) = ready.first() else { break };
                         let share = (table.free_sms() / ready.len()).max(min_part);
                         let Some(reservation) =
@@ -578,9 +824,10 @@ pub(crate) fn run_overlapped(
                             break; // wait for a sibling partition release
                         };
                         let stage = &pipeline.stages()[s];
-                        let inputs: Vec<Vec<u32>> =
-                            stage.deps.iter().map(|&d| run.outputs[d].clone()).collect();
-                        let (ops, replies) = spawn_attempt(scope, stage, inputs);
+                        // A lone stage runs inline; only a stage that will
+                        // overlap a sibling gets a thread.
+                        let lone = branches.is_empty() && ready.len() == 1;
+                        let worker = (!lone).then(|| spawn_attempt(scope, stage, &run));
                         let now = gpu.cycle();
                         gpu.record_event(
                             EventKind::StageStart,
@@ -605,8 +852,7 @@ pub(crate) fn run_overlapped(
                             bytes_down: 0,
                             blocked: None,
                             poisoned: false,
-                            ops,
-                            replies,
+                            worker,
                         });
                         branches.sort_by_key(|b| b.stage);
                         state[s] = StageState::Running;
@@ -614,9 +860,16 @@ pub(crate) fn run_overlapped(
                     let Some(i) = branches.iter().position(|b| b.blocked.is_none()) else {
                         break;
                     };
-                    let served = serve(gpu, mode, &mut next_group, &mut branches[i]);
-                    let Served::Finished(attempt_result) = served else {
-                        continue;
+                    let attempt_result = if branches[i].worker.is_some() {
+                        match serve(gpu, mode, &mut next_group, &mut branches[i]) {
+                            Served::Blocked => continue,
+                            Served::Finished(result) => result,
+                        }
+                    } else {
+                        debug_assert_eq!(branches.len(), 1, "an inline branch runs alone");
+                        let stage = &pipeline.stages()[branches[i].stage];
+                        let inputs = stage_inputs(stage, &run);
+                        run_inline(gpu, mode, &mut next_group, &mut branches[i], stage, &inputs)?
                     };
                     // ---- the branch's attempt ended: deliver / retry /
                     // fail-stop.
@@ -655,6 +908,10 @@ pub(crate) fn run_overlapped(
                         Err(e) => return Err(e.into()),
                     };
                     if detected {
+                        // Nothing else can become ready while the stage
+                        // retries, so a retry whose branch is the only one
+                        // left (with nothing ready) runs inline too.
+                        let lone = branches.len() == 1 && ready_stages(pipeline, &state).is_empty();
                         let b = &mut branches[i];
                         if b.attempt > 1 {
                             run.retries_failed += 1;
@@ -685,9 +942,7 @@ pub(crate) fn run_overlapped(
                                     (b.attempt + 1) as u64,
                                 );
                                 let stage = &pipeline.stages()[s];
-                                let inputs: Vec<Vec<u32>> =
-                                    stage.deps.iter().map(|&d| run.outputs[d].clone()).collect();
-                                let (ops, replies) = spawn_attempt(scope, stage, inputs);
+                                b.worker = (!lone).then(|| spawn_attempt(scope, stage, &run));
                                 b.attempt += 1;
                                 b.limit = plan.ftti.stage_limit(s, frame_zero, now);
                                 b.buffers.clear();
@@ -697,8 +952,6 @@ pub(crate) fn run_overlapped(
                                 b.corrected = 0;
                                 b.blocked = None;
                                 b.poisoned = false;
-                                b.ops = ops;
-                                b.replies = replies;
                             }
                             Some(reason) => {
                                 gpu.record_event(
@@ -741,23 +994,15 @@ pub(crate) fn run_overlapped(
                     Ok(_) => {
                         for b in branches.iter_mut() {
                             if b.blocked.is_some() && b.pending_finished(gpu) {
-                                let op = b.blocked.take().expect("parked branch");
-                                b.pending.clear();
-                                match op {
-                                    Op::Sync => b.reply(Reply::Unit),
-                                    Op::ReadU32 { buf, words } => {
-                                        let reply = vote_read(gpu, replicas, b, buf, words);
-                                        b.reply(reply);
-                                    }
-                                    _ => unreachable!("only sync/read park a branch"),
-                                }
+                                let wait = b.blocked.take().expect("parked branch");
+                                let reply = resume(gpu, replicas, b, wait);
+                                b.worker().reply(reply);
                             }
                         }
                     }
                     Err(SimError::DeadlineExceeded { .. }) => {
                         // The earliest stage deadline fired: cancel every
-                        // overrunning branch's kernels (its partition
-                        // empties; siblings are untouched) and unwind its
+                        // overrunning branch's kernels and unwind its
                         // worker — the retry decision happens when its
                         // `Done(Err)` arrives.
                         let now = gpu.cycle();
@@ -765,16 +1010,9 @@ pub(crate) fn run_overlapped(
                         for b in branches.iter_mut() {
                             if now > b.limit {
                                 any = true;
-                                gpu.cancel_kernels(&b.kernels);
-                                b.pending.clear();
-                                b.poisoned = true;
+                                let err = b.expire(gpu, now);
                                 if b.blocked.take().is_some() {
-                                    b.reply(Reply::Fail(SessionError::Sim(
-                                        SimError::DeadlineExceeded {
-                                            cycle: now,
-                                            limit: b.limit,
-                                        },
-                                    )));
+                                    b.worker().reply(Reply::Fail(err));
                                 }
                             }
                         }
