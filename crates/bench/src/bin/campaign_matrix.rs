@@ -7,6 +7,11 @@
 //! comma-separated; an empty list or item is rejected, except
 //! `--wide-replicas ''`, which turns the wide-device cells off.
 //!
+//! Workload cells on the paper device run `--trials` trials and pipeline
+//! cells `--pipeline-trials` (default: `--trials`). Wide-device cells run
+//! half of `--trials` and limp-home cells half of the pipeline trials,
+//! both rounded up to at least one.
+//!
 //! `--progress` renders a live cell-granularity progress line (with each
 //! completed cell's wall time) to stderr and prints a per-cell wall-time
 //! summary on completion. `--quiet` suppresses the stdout tables; with
@@ -43,7 +48,7 @@
 //! never cost the device an SM (no quarantine without attributable
 //! permanent evidence).
 
-use higpu_bench::matrix::{full_registry, run_matrix, run_matrix_with_telemetry, MatrixConfig};
+use higpu_bench::matrix::{full_registry, run_matrix, MatrixConfig};
 use higpu_bench::table;
 use higpu_core::policy::PolicyKind;
 use higpu_faults::campaign::{
@@ -67,8 +72,7 @@ usage: campaign_matrix [--trials N] [--seed S] [--workloads a,b,c]
                        [--policies srrs,half,slice,slice-skewed,default]
                        [--faults transient,droop,permanent,misroute]
                        [--replicas 2,3] [--pipelines ad_pipeline,sensor_fusion]
-                       [--pipeline-trials N] [--frames N] [--limp-trials N]
-                       [--wide-replicas 5] [--wide-trials N]
+                       [--pipeline-trials N] [--frames N] [--wide-replicas 5]
                        [--checkpoint] [--assert-srrs-clean]
                        [--full-scale] [--check-serial] [--csv] [--json PATH]
                        [--progress] [--quiet] [--trace-out PATH] [--help]
@@ -174,13 +178,6 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--frames: {e}"))?;
             }
-            "--limp-trials" => {
-                opts.cfg.limp_trials = Some(
-                    value("--limp-trials")?
-                        .parse()
-                        .map_err(|e| format!("--limp-trials: {e}"))?,
-                );
-            }
             "--wide-replicas" => {
                 // The whole value `''` turns the wide cells off.
                 let v = value("--wide-replicas")?;
@@ -192,13 +189,6 @@ fn parse_args() -> Result<Options, String> {
                         .map(|r| r.parse::<u8>().map_err(|e| format!("--wide-replicas: {e}")))
                         .collect::<Result<_, _>>()?
                 };
-            }
-            "--wide-trials" => {
-                opts.cfg.wide_trials = Some(
-                    value("--wide-trials")?
-                        .parse()
-                        .map_err(|e| format!("--wide-trials: {e}"))?,
-                );
             }
             "--checkpoint" => opts.cfg.checkpoint = Some(CheckpointConfig::default()),
             "--assert-srrs-clean" => opts.assert_srrs_clean = true,
@@ -374,7 +364,7 @@ fn main() -> ExitCode {
         opts.cfg.replica_counts,
         opts.cfg.trials
     );
-    let (m, telemetry) = match run_matrix_with_telemetry(&reg, &opts.cfg) {
+    let (m, telemetry) = match run_matrix(&reg, &opts.cfg) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("campaign_matrix: sweep failed: {e}");
@@ -399,7 +389,7 @@ fn main() -> ExitCode {
         let mut from_zero = opts.cfg.clone();
         from_zero.checkpoint = None;
         let other = match run_matrix(&reg, &from_zero) {
-            Ok(m) => m,
+            Ok((m, _)) => m,
             Err(e) => {
                 eprintln!("campaign_matrix: from-zero cross sweep failed: {e}");
                 return ExitCode::FAILURE;
@@ -636,7 +626,7 @@ fn main() -> ExitCode {
             if wide.iter().all(|r| r.trials == r.not_activated) {
                 eprintln!(
                     "campaign_matrix: --assert-srrs-clean but no diverse wide trial at \
-                     {replicas} replicas activated its fault (check --wide-trials/--faults) \
+                     {replicas} replicas activated its fault (check --trials/--faults) \
                      — fence vacuous"
                 );
                 return ExitCode::FAILURE;

@@ -41,7 +41,9 @@ const PIPELINE_EXECS: [ExecMode; 2] = [ExecMode::Overlapped, ExecMode::Serial];
 /// Sweep parameters.
 #[derive(Debug, Clone)]
 pub struct MatrixConfig {
-    /// Injection trials per (workload, policy, fault, replicas) cell.
+    /// Injection trials per (workload, policy, fault, replicas) cell on
+    /// the paper device. Wide-device cells run half of it, rounded up (the
+    /// wide rows are frontier context, not the headline coverage claim).
     pub trials: u32,
     /// Campaign seed (each cell is fully reproducible).
     pub seed: u64,
@@ -81,20 +83,15 @@ pub struct MatrixConfig {
     /// own solo-makespan denominators
     /// ([`MatrixResult::wide_solo_makespans`]).
     pub wide_replica_counts: Vec<u8>,
-    /// Trials per wide-device cell (`None` = half of
-    /// [`MatrixConfig::trials`], rounded up — the wide rows are frontier
-    /// context, not the headline coverage claim).
-    pub wide_trials: Option<u32>,
     /// Frames per limp-home mission cell (≤ 1 = no limp cells). With
     /// [`MatrixConfig::pipelines`] non-empty, each pipeline gains one
     /// multi-frame cell per non-misroute fault family on the wide 10-SM
     /// device (SRRS, N = 2, overlapped): a permanent fault is diagnosed
     /// and quarantined mid-mission and the remaining frames re-plan
-    /// around the lost SM ([`higpu_pipeline::limp`]).
+    /// around the lost SM ([`higpu_pipeline::limp`]). Limp cells run half
+    /// the pipeline trial count, rounded up (every trial is a whole
+    /// multi-frame mission).
     pub limp_frames: u32,
-    /// Trials per limp-home cell (`None` = half the pipeline trial
-    /// count, rounded up — every trial is a whole multi-frame mission).
-    pub limp_trials: Option<u32>,
     /// Render a live progress line (cell granularity) to stderr while the
     /// sweep runs. Wall-clock display only — never feeds any report or
     /// the telemetry document.
@@ -124,9 +121,7 @@ impl Default for MatrixConfig {
             workers: 0,
             check_serial: false,
             wide_replica_counts: vec![5],
-            wide_trials: None,
             limp_frames: 4,
-            limp_trials: None,
             progress: false,
             checkpoint: None,
         }
@@ -159,7 +154,7 @@ pub struct CellTelemetry {
 
 /// Observability sidecar of one matrix sweep: per-cell campaign telemetry
 /// (detection-latency / makespan / corrupted-but-terminating histograms)
-/// and wall times. Produced by [`run_matrix_with_telemetry`].
+/// and wall times. Produced by [`run_matrix`].
 #[derive(Debug, Clone, Default)]
 pub struct MatrixTelemetry {
     /// One entry per workload campaign cell (standard then wide device),
@@ -431,30 +426,17 @@ impl MatrixResult {
             .sum()
     }
 
-    /// The solo makespan of `workload`, if it was swept.
-    fn solo_makespan(&self, workload: &str) -> Option<u64> {
-        self.solo_makespans
-            .iter()
-            .find(|(n, _)| n == workload)
-            .map(|&(_, m)| m)
-    }
-
-    /// A cell's makespan overhead: redundant fault-free makespan over the
-    /// workload's solo makespan.
-    pub fn makespan_overhead(&self, r: &CampaignReport) -> Option<f64> {
-        let solo = self.solo_makespan(&r.workload)?;
-        (solo > 0).then(|| r.fault_free_makespan as f64 / solo as f64)
-    }
-
-    /// A wide-device cell's makespan overhead, against the solo makespan
-    /// measured on the *same* (wide) device.
-    pub fn wide_makespan_overhead(&self, r: &CampaignReport) -> Option<f64> {
-        let solo = self
-            .wide_solo_makespans
-            .iter()
-            .find(|(n, _)| n == &r.workload)
-            .map(|&(_, m)| m)?;
-        (solo > 0).then(|| r.fault_free_makespan as f64 / solo as f64)
+    /// One device's workload cells, each with its makespan overhead
+    /// against the solo makespan measured on that same device.
+    fn workload_cells(
+        &self,
+        device: Device,
+    ) -> impl Iterator<Item = (&CampaignReport, Option<f64>)> {
+        let (reports, solos) = match device {
+            Device::Paper => (&self.reports, &self.solo_makespans),
+            Device::Wide => (&self.wide_reports, &self.wide_solo_makespans),
+        };
+        reports.iter().map(|r| (r, makespan_overhead(r, solos)))
     }
 
     /// The coverage-vs-cost frontier: per (policy, replicas), summed
@@ -466,15 +448,10 @@ impl MatrixResult {
         // Wide cells fold into the same frontier (each against its own
         // device's solo denominator): the 5MR points sit on the same
         // coverage-vs-cost curve as the paper-device ones.
-        for r in &self.reports {
-            fold_frontier(&mut points, r, self.makespan_overhead(r).unwrap_or(0.0));
-        }
-        for r in &self.wide_reports {
-            fold_frontier(
-                &mut points,
-                r,
-                self.wide_makespan_overhead(r).unwrap_or(0.0),
-            );
+        for device in DEVICES {
+            for (r, overhead) in self.workload_cells(device) {
+                fold_frontier(&mut points, r, overhead.unwrap_or(0.0));
+            }
         }
         for p in &mut points {
             p.mean_makespan_overhead /= f64::from(p.cells.max(1));
@@ -690,27 +667,9 @@ impl MatrixResult {
             "coverage".to_string(),
             "overhead".to_string(),
         ]];
-        for r in &self.reports {
-            out.push(vec![
-                r.workload.clone(),
-                r.policy.clone(),
-                r.replicas.to_string(),
-                r.fault.to_string(),
-                r.trials.to_string(),
-                r.not_activated.to_string(),
-                r.masked.to_string(),
-                r.detected.to_string(),
-                r.corrected.to_string(),
-                r.undetected.to_string(),
-                r.coverage()
-                    .map_or("n/a".to_string(), |c| format!("{:.0}%", c * 100.0)),
-                self.makespan_overhead(r)
-                    .map_or("n/a".to_string(), |o| format!("{o:.2}x")),
-            ]);
-        }
         // Wide-device rows (the 5MR frontier input) append after the
         // paper-device sweep; the replica count distinguishes them.
-        for r in &self.wide_reports {
+        for (r, overhead) in DEVICES.into_iter().flat_map(|d| self.workload_cells(d)) {
             out.push(vec![
                 r.workload.clone(),
                 r.policy.clone(),
@@ -724,8 +683,7 @@ impl MatrixResult {
                 r.undetected.to_string(),
                 r.coverage()
                     .map_or("n/a".to_string(), |c| format!("{:.0}%", c * 100.0)),
-                self.wide_makespan_overhead(r)
-                    .map_or("n/a".to_string(), |o| format!("{o:.2}x")),
+                overhead.map_or("n/a".to_string(), |o| format!("{o:.2}x")),
             ]);
         }
         out
@@ -760,16 +718,11 @@ impl MatrixResult {
     /// Renders the matrix as a JSON value: sweep metadata, one entry per
     /// cell, and the per-(policy, replicas) coverage-vs-cost frontier.
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
-            .reports
-            .iter()
-            .map(|r| Self::workload_cell_json(r, self.makespan_overhead(r)))
-            .collect();
-        let wide_cells: Vec<String> = self
-            .wide_reports
-            .iter()
-            .map(|r| Self::workload_cell_json(r, self.wide_makespan_overhead(r)))
-            .collect();
+        let [cells, wide_cells] = DEVICES.map(|d| {
+            self.workload_cells(d)
+                .map(|(r, overhead)| Self::workload_cell_json(r, overhead))
+                .collect::<Vec<String>>()
+        });
         let frontier: Vec<String> = self
             .frontier()
             .iter()
@@ -901,6 +854,13 @@ impl MatrixResult {
     }
 }
 
+/// A workload cell's makespan overhead: redundant fault-free makespan over
+/// the workload's solo makespan in `solos` (measured on the cell's device).
+fn makespan_overhead(r: &CampaignReport, solos: &[(String, u64)]) -> Option<f64> {
+    let &(_, solo) = solos.iter().find(|(n, _)| n == &r.workload)?;
+    (solo > 0).then(|| r.fault_free_makespan as f64 / solo as f64)
+}
+
 /// Folds one cell into the per-(policy, replicas) frontier accumulator
 /// (means are normalized by the caller after the fold).
 fn fold_frontier(points: &mut Vec<FrontierPoint>, r: &CampaignReport, overhead: f64) {
@@ -990,15 +950,6 @@ fn persistent_fault_label(label: &str) -> bool {
     label == FaultSpec::Permanent.label()
 }
 
-/// The wide device every 5MR and degraded-mode cell runs on: ten SMs (so
-/// five replicas get two-SM slices, and quarantining one SM leaves enough
-/// capacity to re-plan) with the campaign-sized memory image.
-fn wide_gpu() -> GpuConfig {
-    let mut gpu = GpuConfig::wide_10sm();
-    gpu.global_mem_bytes = 2 * 1024 * 1024;
-    gpu
-}
-
 /// Realizes the configured policies at one replica count
 /// ([`PolicyKind::for_replicas`]) and deduplicates (HALF and SLICE
 /// coincide above two replicas; the uncontrolled baseline drops out).
@@ -1044,9 +995,179 @@ fn solo_makespan_on(
     Ok(gpu.trace().makespan().unwrap_or(0))
 }
 
-/// Runs the sweep: one parallel campaign per (workload, replicas, policy,
-/// fault) cell, all resolved through `reg`. Policies are realized per
-/// replica count via [`PolicyKind::for_replicas`] (HALF → SLICE above two
+/// The device a cell runs on.
+#[derive(Clone, Copy)]
+enum Device {
+    /// The paper-sized 6-SM device.
+    Paper,
+    /// The device every 5MR and degraded-mode cell runs on: ten SMs (so
+    /// five replicas get two-SM slices, and quarantining one SM leaves
+    /// enough capacity to re-plan).
+    Wide,
+}
+
+/// Both devices, in the order their workload rows render.
+const DEVICES: [Device; 2] = [Device::Paper, Device::Wide];
+
+impl Device {
+    /// `paper` or `wide` (the telemetry `device` field).
+    fn label(self) -> &'static str {
+        match self {
+            Device::Paper => "paper",
+            Device::Wide => "wide",
+        }
+    }
+
+    /// The device configuration; the wide device keeps the campaign
+    /// default's memory image.
+    fn gpu(self) -> GpuConfig {
+        let paper = CampaignConfig::default().gpu;
+        match self {
+            Device::Paper => paper,
+            Device::Wide => GpuConfig {
+                global_mem_bytes: paper.global_mem_bytes,
+                ..GpuConfig::wide_10sm()
+            },
+        }
+    }
+}
+
+/// What a cell runs: a workload campaign, or a pipeline campaign (a
+/// limp-home mission cell when its `frames` > 1).
+enum CellSpec {
+    Workload(CampaignSpec),
+    Pipeline(PipelineCampaignSpec),
+}
+
+/// One cell of the sweep: a campaign spec, the device it runs on and its
+/// trial count.
+struct Cell {
+    device: Device,
+    trials: u32,
+    spec: CellSpec,
+}
+
+impl Cell {
+    /// Names the cell in progress lines and determinism-fence messages.
+    fn label(&self) -> String {
+        let (name, policy, replicas, fault, exec) = match &self.spec {
+            CellSpec::Workload(s) => (&s.workload, s.policy, s.replicas, s.fault, String::new()),
+            CellSpec::Pipeline(s) => (
+                &s.pipeline,
+                s.policy,
+                s.replicas,
+                s.fault,
+                format!(" ({}, {} frame(s))", s.exec.label(), s.frames),
+            ),
+        };
+        format!(
+            "{name} {} N={replicas} {}{exec} on the {} device",
+            policy.label(),
+            fault.label(),
+            self.device.label()
+        )
+    }
+}
+
+impl MatrixConfig {
+    /// Every cell of the sweep over `workloads`, in sweep order: workload
+    /// cells on the paper device, pipeline cells, workload cells on the
+    /// wide device, then limp-home missions. Wide cells run half the
+    /// trials, and limp cells half the pipeline trials (rounded up, at
+    /// least one).
+    fn cells(&self, workloads: &[String]) -> Vec<Cell> {
+        let workload_cells = |device: Device, replica_counts: &[u8], trials: u32| {
+            let mut cells = Vec::new();
+            for name in workloads {
+                for &replicas in replica_counts {
+                    for policy in realize_policies(&self.policies, replicas) {
+                        for &fault in &self.faults {
+                            let spec = CampaignSpec {
+                                workload: name.clone(),
+                                scale: self.scale,
+                                policy,
+                                fault,
+                                replicas,
+                            };
+                            cells.push(Cell {
+                                device,
+                                trials,
+                                spec: CellSpec::Workload(spec),
+                            });
+                        }
+                    }
+                }
+            }
+            cells
+        };
+        let pipeline_cell = |name: &String, policy, fault, replicas, exec, frames| {
+            CellSpec::Pipeline(PipelineCampaignSpec {
+                pipeline: name.clone(),
+                scale: self.scale,
+                policy,
+                fault,
+                replicas,
+                recovery: higpu_pipeline::RecoveryPolicy::default(),
+                exec,
+                frames,
+            })
+        };
+        let pipeline_trials = self.pipeline_trials.unwrap_or(self.trials);
+
+        let mut cells = workload_cells(Device::Paper, &self.replica_counts, self.trials);
+        for name in &self.pipelines {
+            for &replicas in &self.replica_counts {
+                for policy in realize_policies(&self.policies, replicas) {
+                    for exec in PIPELINE_EXECS {
+                        for &fault in &self.faults {
+                            cells.push(Cell {
+                                device: Device::Paper,
+                                trials: pipeline_trials,
+                                spec: pipeline_cell(name, policy, fault, replicas, exec, 1),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        cells.extend(workload_cells(
+            Device::Wide,
+            &self.wide_replica_counts,
+            self.trials.div_ceil(2).max(1),
+        ));
+        if self.limp_frames > 1 {
+            for name in &self.pipelines {
+                // Misroute is a scheduler property, not SM damage: there
+                // is nothing to diagnose across frames.
+                for &fault in self
+                    .faults
+                    .iter()
+                    .filter(|f| !matches!(f, FaultSpec::Misroute))
+                {
+                    cells.push(Cell {
+                        device: Device::Wide,
+                        trials: pipeline_trials.div_ceil(2).max(1),
+                        spec: pipeline_cell(
+                            name,
+                            PolicyKind::Srrs,
+                            fault,
+                            2,
+                            ExecMode::Overlapped,
+                            self.limp_frames,
+                        ),
+                    });
+                }
+            }
+        }
+        cells
+    }
+}
+
+/// Runs the sweep: one parallel campaign per cell, every workload resolved
+/// through `reg`, and returns the result with its [`MatrixTelemetry`]
+/// sidecar (per-cell detection-latency / makespan histograms and wall
+/// times; observation, not state). Policies are realized per replica
+/// count via [`PolicyKind::for_replicas`] (HALF → SLICE above two
 /// replicas; the uncontrolled baseline only at two), then deduplicated.
 ///
 /// # Errors
@@ -1061,25 +1182,6 @@ fn solo_makespan_on(
 pub fn run_matrix(
     reg: &WorkloadRegistry,
     cfg: &MatrixConfig,
-) -> Result<MatrixResult, CampaignError> {
-    run_matrix_with_telemetry(reg, cfg).map(|(result, _)| result)
-}
-
-/// [`run_matrix`] plus the sweep's [`MatrixTelemetry`] sidecar (per-cell
-/// detection-latency / makespan histograms and wall times). The
-/// [`MatrixResult`] is identical to [`run_matrix`]'s — telemetry is
-/// observation, not state.
-///
-/// # Errors
-///
-/// As [`run_matrix`].
-///
-/// # Panics
-///
-/// As [`run_matrix`] (the `check_serial` determinism fence).
-pub fn run_matrix_with_telemetry(
-    reg: &WorkloadRegistry,
-    cfg: &MatrixConfig,
 ) -> Result<(MatrixResult, MatrixTelemetry), CampaignError> {
     let sweep_start = Instant::now();
     let names: Vec<String> = if cfg.workloads.is_empty() {
@@ -1087,254 +1189,104 @@ pub fn run_matrix_with_telemetry(
     } else {
         cfg.workloads.clone()
     };
-    let mut progress = matrix_progress(cfg, names.len());
-    let mut done = 0usize;
-    let mut telemetry = MatrixTelemetry::default();
-    let campaign = CampaignConfig {
-        trials: cfg.trials,
-        seed: cfg.seed,
-        workers: cfg.workers,
-        checkpoint: cfg.checkpoint,
-        ..CampaignConfig::default()
+    // Solo (non-redundant) fault-free makespan per workload and device:
+    // the cost baseline every redundant cell's overhead is measured
+    // against (the 10-SM device runs a solo workload faster).
+    let solos_on = |device: Device| -> Result<Vec<(String, u64)>, CampaignError> {
+        let gpu = device.gpu();
+        names
+            .iter()
+            .map(|name| Ok((name.clone(), solo_makespan_on(reg, name, cfg.scale, &gpu)?)))
+            .collect()
     };
-    // Solo (non-redundant) fault-free makespan per workload: the cost
-    // baseline every redundant cell's overhead is measured against.
-    let mut solo_makespans = Vec::with_capacity(names.len());
-    for name in &names {
-        let makespan = solo_makespan_on(reg, name, cfg.scale, &campaign.gpu)?;
-        solo_makespans.push((name.clone(), makespan));
-    }
-    let mut reports = Vec::with_capacity(
-        names.len() * cfg.replica_counts.len() * cfg.policies.len() * cfg.faults.len(),
-    );
-    for name in &names {
-        for &replicas in &cfg.replica_counts {
-            for &policy in &realize_policies(&cfg.policies, replicas) {
-                for &fault in &cfg.faults {
-                    let spec = CampaignSpec {
-                        workload: name.clone(),
-                        scale: cfg.scale,
-                        policy,
-                        fault,
-                        replicas,
-                    };
-                    let cell_start = Instant::now();
-                    let (report, cell) =
-                        run_campaign_selected_with_telemetry(&campaign, reg, &spec)?;
-                    if cfg.check_serial {
-                        let serial = run_campaign_selected_serial(&campaign, reg, &spec)?;
-                        assert_eq!(
-                            report, serial,
-                            "parallel report must be bit-identical to the serial reference \
-                             for {name} under {policy:?}/{fault:?} at {replicas} replicas"
-                        );
-                    }
-                    let wall_seconds = cell_start.elapsed().as_secs_f64();
-                    telemetry.cells.push(CellTelemetry {
-                        workload: report.workload.clone(),
-                        policy: report.policy.clone(),
-                        replicas,
-                        fault: report.fault.to_string(),
-                        device: "paper",
-                        telemetry: cell,
-                        wall_seconds,
-                    });
-                    done += 1;
-                    progress.update(
-                        done as u64,
-                        &format!(
-                            "{name} {} N={replicas} {} [{wall_seconds:.2}s]",
-                            policy.label(),
-                            fault.label()
-                        ),
-                    );
-                    reports.push(report);
-                }
-            }
-        }
-    }
+    let solo_makespans = solos_on(Device::Paper)?;
+    let wide_solo_makespans = if cfg.wide_replica_counts.is_empty() {
+        Vec::new()
+    } else {
+        solos_on(Device::Wide)?
+    };
+
+    let cells = cfg.cells(&names);
+    let preg = full_pipeline_registry();
+    let mut progress = ProgressLine::new("matrix", cells.len() as u64, cfg.progress);
+    let mut telemetry = MatrixTelemetry::default();
+    let mut reports = Vec::new();
+    let mut wide_reports = Vec::new();
     let mut pipeline_reports = Vec::new();
-    if !cfg.pipelines.is_empty() {
-        let preg = full_pipeline_registry();
+    let mut limp_reports = Vec::new();
+    for (done, cell) in cells.iter().enumerate() {
+        let cell_start = Instant::now();
         let campaign = CampaignConfig {
-            trials: cfg.pipeline_trials.unwrap_or(cfg.trials),
+            trials: cell.trials,
+            seed: cfg.seed,
+            gpu: cell.device.gpu(),
+            workers: cfg.workers,
             // Pipeline campaigns drive multi-frame missions through their
             // own engine; suffix replay applies to workload cells only.
             checkpoint: None,
-            ..campaign
         };
-        for name in &cfg.pipelines {
-            for &replicas in &cfg.replica_counts {
-                for &policy in &realize_policies(&cfg.policies, replicas) {
-                    for exec in PIPELINE_EXECS {
-                        for &fault in &cfg.faults {
-                            let spec = PipelineCampaignSpec {
-                                pipeline: name.clone(),
-                                scale: cfg.scale,
-                                policy,
-                                fault,
-                                replicas,
-                                recovery: higpu_pipeline::RecoveryPolicy::default(),
-                                exec,
-                                frames: 1,
-                            };
-                            let report = run_pipeline_campaign(&campaign, &preg, &spec)
-                                .map_err(pipeline_error_to_campaign)?;
-                            if cfg.check_serial {
-                                let serial = run_pipeline_campaign_serial(&campaign, &preg, &spec)
-                                    .map_err(pipeline_error_to_campaign)?;
-                                assert_eq!(
-                                    report,
-                                    serial,
-                                    "parallel pipeline report must be bit-identical to the \
-                                     serial reference for {name} under {policy:?}/{fault:?} at \
-                                     {replicas} replicas ({})",
-                                    exec.label()
-                                );
-                            }
-                            done += 1;
-                            progress.update(
-                                done as u64,
-                                &format!(
-                                    "{name} {} N={replicas} {} ({})",
-                                    policy.label(),
-                                    fault.label(),
-                                    exec.label()
-                                ),
-                            );
-                            pipeline_reports.push(report);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Wide-device rows: the same workload sweep at the extra replica
-    // counts on the 10-SM device (five replicas need two-SM slices the
-    // paper device cannot give them), at reduced trials.
-    let mut wide_solo_makespans = Vec::new();
-    let mut wide_reports = Vec::new();
-    if !cfg.wide_replica_counts.is_empty() {
-        let wide = CampaignConfig {
-            trials: cfg
-                .wide_trials
-                .unwrap_or_else(|| cfg.trials.div_ceil(2).max(1)),
-            seed: cfg.seed,
-            gpu: wide_gpu(),
-            workers: cfg.workers,
-            checkpoint: cfg.checkpoint,
-        };
-        for name in &names {
-            let makespan = solo_makespan_on(reg, name, cfg.scale, &wide.gpu)?;
-            wide_solo_makespans.push((name.clone(), makespan));
-        }
-        for name in &names {
-            for &replicas in &cfg.wide_replica_counts {
-                for &policy in &realize_policies(&cfg.policies, replicas) {
-                    for &fault in &cfg.faults {
-                        let spec = CampaignSpec {
-                            workload: name.clone(),
-                            scale: cfg.scale,
-                            policy,
-                            fault,
-                            replicas,
-                        };
-                        let cell_start = Instant::now();
-                        let (report, cell) =
-                            run_campaign_selected_with_telemetry(&wide, reg, &spec)?;
-                        if cfg.check_serial {
-                            let serial = run_campaign_selected_serial(&wide, reg, &spec)?;
-                            assert_eq!(
-                                report, serial,
-                                "parallel report must be bit-identical to the serial \
-                                 reference for {name} under {policy:?}/{fault:?} at \
-                                 {replicas} replicas (wide device)"
-                            );
-                        }
-                        let wall_seconds = cell_start.elapsed().as_secs_f64();
-                        telemetry.cells.push(CellTelemetry {
-                            workload: report.workload.clone(),
-                            policy: report.policy.clone(),
-                            replicas,
-                            fault: report.fault.to_string(),
-                            device: "wide",
-                            telemetry: cell,
-                            wall_seconds,
-                        });
-                        done += 1;
-                        progress.update(
-                            done as u64,
-                            &format!(
-                                "{name} {} N={replicas} {} (wide) [{wall_seconds:.2}s]",
-                                policy.label(),
-                                fault.label()
-                            ),
-                        );
-                        wide_reports.push(report);
-                    }
-                }
-            }
-        }
-    }
-    // Degraded-mode rows: multi-frame limp-home missions on the wide
-    // device. One cell per (pipeline, fault family): a mid-mission
-    // permanent fault must be diagnosed, quarantined, and limped around;
-    // a transient-class family must *never* cost an SM.
-    let mut limp_reports = Vec::new();
-    if cfg.limp_frames > 1 && !cfg.pipelines.is_empty() {
-        let preg = full_pipeline_registry();
-        let limp = CampaignConfig {
-            trials: cfg
-                .limp_trials
-                .unwrap_or_else(|| cfg.pipeline_trials.unwrap_or(cfg.trials).div_ceil(2).max(1)),
-            seed: cfg.seed,
-            gpu: wide_gpu(),
-            workers: cfg.workers,
-            checkpoint: None,
-        };
-        for name in &cfg.pipelines {
-            for &fault in &cfg.faults {
-                if matches!(fault, FaultSpec::Misroute) {
-                    // Misroute is a scheduler property, not SM damage:
-                    // there is nothing to diagnose across frames.
-                    continue;
-                }
-                let spec = PipelineCampaignSpec {
-                    pipeline: name.clone(),
-                    scale: cfg.scale,
-                    policy: PolicyKind::Srrs,
-                    fault,
-                    replicas: 2,
-                    recovery: higpu_pipeline::RecoveryPolicy::default(),
-                    exec: ExecMode::Overlapped,
-                    frames: cfg.limp_frames,
+        match &cell.spec {
+            CellSpec::Workload(spec) => {
+                let campaign = CampaignConfig {
+                    checkpoint: cfg.checkpoint,
+                    ..campaign
                 };
-                let report = run_pipeline_campaign(&limp, &preg, &spec)
-                    .map_err(pipeline_error_to_campaign)?;
+                let (report, cell_telemetry) =
+                    run_campaign_selected_with_telemetry(&campaign, reg, spec)?;
                 if cfg.check_serial {
-                    let serial = run_pipeline_campaign_serial(&limp, &preg, &spec)
-                        .map_err(pipeline_error_to_campaign)?;
+                    let serial = run_campaign_selected_serial(&campaign, reg, spec)?;
                     assert_eq!(
-                        report, serial,
-                        "parallel limp-home report must be bit-identical to the serial \
-                         reference for {name} under {fault:?} over {} frames",
-                        cfg.limp_frames
+                        report,
+                        serial,
+                        "parallel report must be bit-identical to the serial reference for {}",
+                        cell.label()
                     );
                 }
-                done += 1;
-                progress.update(
-                    done as u64,
-                    &format!(
-                        "{name} limp-home {} x{} frames",
-                        fault.label(),
-                        cfg.limp_frames
-                    ),
-                );
-                limp_reports.push(report);
+                telemetry.cells.push(CellTelemetry {
+                    workload: report.workload.clone(),
+                    policy: report.policy.clone(),
+                    replicas: report.replicas,
+                    fault: report.fault.to_string(),
+                    device: cell.device.label(),
+                    telemetry: cell_telemetry,
+                    wall_seconds: cell_start.elapsed().as_secs_f64(),
+                });
+                match cell.device {
+                    Device::Paper => reports.push(report),
+                    Device::Wide => wide_reports.push(report),
+                }
+            }
+            CellSpec::Pipeline(spec) => {
+                let report = run_pipeline_campaign(&campaign, &preg, spec)
+                    .map_err(pipeline_error_to_campaign)?;
+                if cfg.check_serial {
+                    let serial = run_pipeline_campaign_serial(&campaign, &preg, spec)
+                        .map_err(pipeline_error_to_campaign)?;
+                    assert_eq!(
+                        report,
+                        serial,
+                        "parallel pipeline report must be bit-identical to the serial \
+                         reference for {}",
+                        cell.label()
+                    );
+                }
+                if spec.frames > 1 {
+                    limp_reports.push(report);
+                } else {
+                    pipeline_reports.push(report);
+                }
             }
         }
+        progress.update(
+            done as u64 + 1,
+            &format!(
+                "{} [{:.2}s]",
+                cell.label(),
+                cell_start.elapsed().as_secs_f64()
+            ),
+        );
     }
-    progress.finish(done as u64, "");
+    progress.finish(cells.len() as u64, "");
     telemetry.wall_seconds = sweep_start.elapsed().as_secs_f64();
     let result = MatrixResult {
         trials: cfg.trials,
@@ -1347,44 +1299,10 @@ pub fn run_matrix_with_telemetry(
         wide_replica_counts: cfg.wide_replica_counts.clone(),
         wide_solo_makespans,
         wide_reports,
-        limp_frames: cfg.limp_frames.max(1),
+        limp_frames: limp_reports.first().map_or(1, |r| r.frames),
         limp_reports,
     };
     Ok((result, telemetry))
-}
-
-/// Builds the sweep's progress line by pre-counting every cell the sweep
-/// will run (workload, pipeline, wide-device, and limp-home axes).
-fn matrix_progress(cfg: &MatrixConfig, workloads: usize) -> ProgressLine {
-    let per_replica: usize = cfg
-        .replica_counts
-        .iter()
-        .map(|&r| realize_policies(&cfg.policies, r).len())
-        .sum();
-    let wide_per_replica: usize = cfg
-        .wide_replica_counts
-        .iter()
-        .map(|&r| realize_policies(&cfg.policies, r).len())
-        .sum();
-    let workload_cells = workloads * per_replica * cfg.faults.len();
-    let pipeline_cells =
-        cfg.pipelines.len() * per_replica * PIPELINE_EXECS.len() * cfg.faults.len();
-    let wide_cells = workloads * wide_per_replica * cfg.faults.len();
-    let limp_cells = if cfg.limp_frames > 1 && !cfg.pipelines.is_empty() {
-        cfg.pipelines.len()
-            * cfg
-                .faults
-                .iter()
-                .filter(|f| !matches!(f, FaultSpec::Misroute))
-                .count()
-    } else {
-        0
-    };
-    ProgressLine::new(
-        "matrix",
-        (workload_cells + pipeline_cells + wide_cells + limp_cells) as u64,
-        cfg.progress,
-    )
 }
 
 /// Surfaces a pipeline-campaign error through the matrix's error type
@@ -1422,7 +1340,7 @@ mod tests {
             check_serial: true,
             ..MatrixConfig::default()
         };
-        let m = run_matrix(&reg, &cfg).expect("sweep");
+        let (m, _) = run_matrix(&reg, &cfg).expect("sweep");
         assert_eq!(
             m.reports.len(),
             8,
@@ -1508,7 +1426,7 @@ mod tests {
             check_serial: true,
             ..MatrixConfig::default()
         };
-        let m = run_matrix(&reg, &cfg).expect("sweep");
+        let (m, _) = run_matrix(&reg, &cfg).expect("sweep");
         assert_eq!(m.reports.len(), 2, "workload cells keep misroute");
         assert_eq!(
             m.pipeline_reports.len(),
@@ -1590,14 +1508,14 @@ mod tests {
             policies: vec![PolicyKind::Srrs],
             faults: vec![FaultSpec::Permanent],
             pipelines: vec!["sensor_fusion".into()],
-            pipeline_trials: Some(1),
+            // Limp cells run half the pipeline trials: two missions.
+            pipeline_trials: Some(3),
             replica_counts: vec![2],
             wide_replica_counts: Vec::new(),
-            limp_trials: Some(2),
             check_serial: true,
             ..MatrixConfig::default()
         };
-        let m = run_matrix(&reg, &cfg).expect("sweep");
+        let (m, _) = run_matrix(&reg, &cfg).expect("sweep");
         assert!(m.wide_reports.is_empty(), "wide axis disabled");
         assert_eq!(m.limp_reports.len(), 1);
         let limp = &m.limp_reports[0];
@@ -1636,16 +1554,37 @@ mod tests {
             pipeline_trials: Some(1),
             replica_counts: vec![2],
             wide_replica_counts: Vec::new(),
-            limp_trials: Some(1),
             ..MatrixConfig::default()
         };
-        let m = run_matrix(&reg, &cfg).expect("sweep");
+        let (m, _) = run_matrix(&reg, &cfg).expect("sweep");
         let limp_recovered: u32 = m.limp_reports.iter().map(|r| r.recovered).sum();
         assert!(limp_recovered > 0, "{:?}", m.limp_reports);
         assert_eq!(
             m.total_recovered(),
             m.pipeline_reports.iter().map(|r| r.recovered).sum::<u32>() + limp_recovered
         );
+    }
+
+    #[test]
+    fn sweep_without_pipelines_reports_no_limp_frames() {
+        let reg = full_registry();
+        let cfg = MatrixConfig {
+            trials: 1,
+            workloads: vec!["iterated_fma".into()],
+            policies: vec![PolicyKind::Srrs],
+            faults: vec![FaultSpec::Permanent],
+            replica_counts: vec![2],
+            wide_replica_counts: Vec::new(),
+            ..MatrixConfig::default()
+        };
+        assert!(
+            cfg.limp_frames > 1,
+            "missions are configured but cannot run"
+        );
+        let (m, _) = run_matrix(&reg, &cfg).expect("sweep");
+        assert!(m.limp_reports.is_empty());
+        assert_eq!(m.limp_frames, 1, "no mission ran");
+        assert!(m.to_json().contains("\"frames\": 1,"));
     }
 
     #[test]
@@ -1659,7 +1598,7 @@ mod tests {
             replica_counts: vec![3],
             ..MatrixConfig::default()
         };
-        let m = run_matrix(&reg, &cfg).expect("sweep");
+        let (m, _) = run_matrix(&reg, &cfg).expect("sweep");
         assert_eq!(
             m.reports.len(),
             1,

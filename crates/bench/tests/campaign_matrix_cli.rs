@@ -68,17 +68,9 @@ fn srrs_fence_without_an_activated_trial_is_vacuous() {
         &["--trials", "0", "--wide-replicas", ""][..],
         // One trial, whose fault never activates at this seed.
         &["--trials", "1", "--seed", "0", "--wide-replicas", ""],
-        // An activated SRRS trial, but no trial in the wide cells.
-        &[
-            "--trials",
-            "1",
-            "--seed",
-            "4",
-            "--wide-replicas",
-            "5",
-            "--wide-trials",
-            "0",
-        ],
+        // An activated SRRS trial, but no *activated* trial in the wide
+        // cells.
+        &["--trials", "1", "--seed", "4", "--wide-replicas", "5"],
     ] {
         let out = fence(extra);
         assert!(!out.status.success(), "{extra:?} passed the fence");

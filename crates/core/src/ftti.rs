@@ -114,24 +114,6 @@ impl PipelineFtti {
         }
     }
 
-    /// Derives the budget set of a serial *chain* (every stage depends on
-    /// its predecessor) — the pre-concurrency constructor, for which the
-    /// critical path degenerates to the historical sum of stage budgets.
-    pub fn from_stage_makespans(stages: impl IntoIterator<Item = (u64, u64)>) -> Self {
-        let stage_budgets: Vec<u64> = stages
-            .into_iter()
-            .map(|(makespan, mult)| deadline(makespan, mult))
-            .collect();
-        let deps = (0..stage_budgets.len())
-            .map(|s| if s == 0 { vec![] } else { vec![s - 1] })
-            .collect();
-        Self {
-            stage_budgets,
-            deps,
-            join_slack: JOIN_SLACK,
-        }
-    }
-
     /// The slack charged at stage `s` itself (join stages only).
     fn join(&self, s: usize) -> u64 {
         if self.deps.get(s).is_some_and(|d| d.len() > 1) {
@@ -310,9 +292,11 @@ mod tests {
 
     #[test]
     fn chain_pipeline_ftti_degenerates_to_the_stage_budget_sum() {
-        let p = PipelineFtti::from_stage_makespans([(1_000, 8), (2_000, 4), (500, 8)]);
+        let p = PipelineFtti::from_dag(
+            [(1_000, 8), (2_000, 4), (500, 8)],
+            vec![vec![], vec![0], vec![1]],
+        );
         assert_eq!(p.stage_budgets, vec![18_000, 18_000, 14_000]);
-        assert_eq!(p.deps, vec![vec![], vec![0], vec![1]]);
         assert_eq!(p.end_to_end(), 50_000, "a chain's critical path is the sum");
         assert_eq!(p.serial_sum(), 50_000);
         assert_eq!(p.downstream(), vec![32_000, 14_000, 0]);

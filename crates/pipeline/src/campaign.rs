@@ -17,8 +17,8 @@
 //! The engine shares `higpu_faults::campaign`'s design and its worker
 //! pool ([`higpu_faults::campaign::run_pool`]): pre-drawn models, reusable
 //! per-worker devices and an order-independent count reduction, so the
-//! parallel report is bit-identical to the serial reference at every worker
-//! count.
+//! report is bit-identical at every worker count
+//! ([`run_pipeline_campaign_serial`] is the one-worker reference).
 
 use crate::exec::{
     plan, run_pipeline, ExecMode, FrameOptions, PipelineError, PipelinePlan, PipelineRun,
@@ -826,26 +826,24 @@ fn run_one_trial(
     Ok(())
 }
 
-/// The reference serial engine: one runner, trials in draw order — the
-/// oracle the parallel engine is checked against.
+/// The one-worker reference: [`run_pipeline_campaign`] at one worker, so
+/// one runner and one degraded-plan memo run every trial in draw order in
+/// the calling thread — the report the pool must reproduce at every worker
+/// count.
 ///
 /// # Errors
 ///
-/// Unknown pipeline / unsupported fault / unsupported replica count;
-/// otherwise propagates device/protocol errors from any trial.
+/// As [`run_pipeline_campaign`].
 pub fn run_pipeline_campaign_serial(
     cfg: &CampaignConfig,
     reg: &PipelineRegistry,
     spec: &PipelineCampaignSpec,
 ) -> Result<PipelineCampaignReport, PipelineCampaignError> {
-    let resolved = resolve(cfg, reg, spec)?;
-    let mut runner = PipelineCampaignRunner::new(cfg);
-    let mut plans = DegradedPlans::default();
-    let mut counts = PipelineCounts::default();
-    for &model in &resolved.models {
-        run_one_trial(&mut runner, &mut plans, spec, &resolved, model, &mut counts)?;
-    }
-    Ok(finish_report(spec, &resolved, cfg.trials, counts))
+    let one = CampaignConfig {
+        workers: 1,
+        ..cfg.clone()
+    };
+    run_pipeline_campaign(&one, reg, spec)
 }
 
 /// Runs a pipeline campaign on a pool of
@@ -856,8 +854,9 @@ pub fn run_pipeline_campaign_serial(
 ///
 /// # Errors
 ///
-/// As [`run_pipeline_campaign_serial`]; when several trials fail, the
-/// error of the lowest-numbered trial is returned.
+/// Unknown pipeline / unsupported fault / unsupported replica count;
+/// otherwise propagates device/protocol errors from any trial. When
+/// several trials fail, the error of the lowest-numbered trial is returned.
 pub fn run_pipeline_campaign(
     cfg: &CampaignConfig,
     reg: &PipelineRegistry,

@@ -7,9 +7,10 @@ use higpu_bench::matrix::{full_registry, run_matrix, MatrixConfig};
 use higpu_core::policy::PolicyKind;
 use higpu_core::redundancy::RedundancyMode;
 use higpu_faults::campaign::{
-    draw_models, dry_run_makespan, CampaignConfig, CampaignRunner, FaultSpec,
+    draw_models, dry_run_makespan, CampaignConfig, CampaignReport, CampaignRunner, FaultSpec,
 };
 use higpu_faults::workload::CampaignWorkload;
+use higpu_pipeline::PipelineCampaignReport;
 use higpu_sim::gpu::Gpu;
 use higpu_workloads::runner::run_solo;
 use higpu_workloads::Scale;
@@ -43,7 +44,7 @@ fn matrix_over_rodinia_suite_is_bit_identical_to_serial_reference() {
         check_serial: true,      // asserts parallel == serial for every cell
         ..MatrixConfig::default()
     };
-    let m = run_matrix(&reg, &cfg).expect("sweep");
+    let (m, _) = run_matrix(&reg, &cfg).expect("sweep");
     assert_eq!(
         m.reports.len(),
         TIER1_WORKLOADS.len() * 2,
@@ -66,6 +67,83 @@ fn matrix_over_rodinia_suite_is_bit_identical_to_serial_reference() {
     }
 }
 
+/// Pins the sweep's cell order on every axis at once: paper-device workload
+/// cells, pipeline cells (overlapped before serial within each policy),
+/// wide-device workload cells, then limp-home missions, which skip
+/// misroute. Telemetry holds one entry per workload cell, paper then wide.
+#[test]
+fn matrix_sweeps_every_axis_in_a_fixed_order() {
+    let reg = full_registry();
+    let cfg = MatrixConfig {
+        trials: 1,
+        workloads: vec!["hotspot".into(), "nn".into()],
+        policies: vec![PolicyKind::Srrs, PolicyKind::Half],
+        faults: vec![FaultSpec::Transient { duration: 400 }, FaultSpec::Misroute],
+        replica_counts: vec![2, 3],
+        wide_replica_counts: vec![5],
+        pipelines: vec!["sensor_fusion".into()],
+        pipeline_trials: Some(1),
+        limp_frames: 2,
+        ..MatrixConfig::default()
+    };
+    let (m, telemetry) = run_matrix(&reg, &cfg).expect("sweep");
+    let cell = |w: &str, p: &str, n: u8, f: &str| format!("{w} {p} N={n} {f}");
+    let workload = |r: &CampaignReport| cell(&r.workload, &r.policy, r.replicas, r.fault);
+    let pipeline = |r: &PipelineCampaignReport| {
+        let c = cell(&r.pipeline, &r.policy, r.replicas, r.fault);
+        format!("{c} {} x{}", r.exec, r.frames)
+    };
+    let faults = ["transient-sm", "scheduler-misroute"];
+    // HALF is realized as SLICE at three replicas.
+    let policies = [(2, ["SRRS", "HALF"]), (3, ["SRRS", "SLICE"])];
+    let (mut paper, mut wide, mut pipelines) = (Vec::new(), Vec::new(), Vec::new());
+    for w in ["hotspot", "nn"] {
+        for (n, ps) in policies {
+            for p in ps {
+                paper.extend(faults.map(|f| cell(w, p, n, f)));
+            }
+        }
+        for p in ["SRRS", "SLICE"] {
+            wide.extend(faults.map(|f| cell(w, p, 5, f)));
+        }
+    }
+    for (n, ps) in policies {
+        for p in ps {
+            for exec in ["overlapped", "serial"] {
+                let c = |f| format!("{} {exec} x1", cell("sensor_fusion", p, n, f));
+                pipelines.extend(faults.map(c));
+            }
+        }
+    }
+    assert_eq!(m.reports.iter().map(workload).collect::<Vec<_>>(), paper);
+    assert_eq!(
+        m.wide_reports.iter().map(workload).collect::<Vec<_>>(),
+        wide
+    );
+    assert_eq!(
+        m.pipeline_reports.iter().map(pipeline).collect::<Vec<_>>(),
+        pipelines
+    );
+    assert_eq!(
+        m.limp_reports.iter().map(pipeline).collect::<Vec<_>>(),
+        ["sensor_fusion SRRS N=2 transient-sm overlapped x2"]
+    );
+    let telemetry_cells: Vec<String> = telemetry
+        .cells
+        .iter()
+        .map(|c| {
+            let id = cell(&c.workload, &c.policy, c.replicas, &c.fault);
+            format!("{id} {}", c.device)
+        })
+        .collect();
+    let expected: Vec<String> = paper
+        .iter()
+        .map(|c| format!("{c} paper"))
+        .chain(wide.iter().map(|c| format!("{c} wide")))
+        .collect();
+    assert_eq!(telemetry_cells, expected);
+}
+
 /// Regression for `campaign_matrix --workloads kmeans --trials 40 --seed 1`,
 /// which used to abort: a fault-corrupted cluster id read back from the
 /// device indexed the host's centroid update out of bounds and panicked a
@@ -80,7 +158,7 @@ fn kmeans_corrupted_cluster_ids_are_detected_not_panics() {
         workloads: vec!["kmeans".to_string()],
         ..MatrixConfig::default()
     };
-    let m = run_matrix(&reg, &cfg).expect("the sweep completes");
+    let (m, _) = run_matrix(&reg, &cfg).expect("the sweep completes");
     assert!(!m.reports.is_empty());
     for r in m.reports.iter().chain(&m.wide_reports) {
         assert_eq!(
@@ -342,7 +420,7 @@ fn runaway_corrupted_loops_are_detected_by_the_watchdog_not_simulated() {
         check_serial: true,
         ..MatrixConfig::default()
     };
-    let m = run_matrix(&reg, &cfg).expect("sweep completes");
+    let (m, _) = run_matrix(&reg, &cfg).expect("sweep completes");
     let r = &m.reports[0];
     assert_eq!(r.trials, 3);
     assert_eq!(

@@ -62,7 +62,7 @@ fn two_replica_campaign_cells_are_byte_identical_to_pre_nmr_engine() {
         replica_counts: vec![2],
         ..MatrixConfig::default()
     };
-    let m = run_matrix(&reg, &cfg).expect("sweep");
+    let (m, _) = run_matrix(&reg, &cfg).expect("sweep");
     assert_eq!(m.reports.len(), GOLDEN.len());
     for (r, g) in m.reports.iter().zip(GOLDEN.iter()) {
         let got = (
