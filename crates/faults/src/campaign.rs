@@ -19,6 +19,10 @@
 //!   counts, so the parallel [`run_campaign`] produces a [`CampaignReport`]
 //!   bit-identical to [`run_campaign_serial`] for the same seed, at every
 //!   worker count (enforced by tests).
+//! * **One simulation per distinct model** — equal models are equal trials,
+//!   so the pool simulates each distinct drawn model once and counts it as
+//!   often as it was drawn (a misroute cell draws from only `num_sms - 1`
+//!   shifts). [`run_campaign_serial`] still simulates every trial.
 //! * **FTTI-bounded trials** — corruption can send a kernel into a
 //!   runaway loop (e.g. a loop counter's sign bit flipped turns a 16-pass
 //!   loop into a 2³¹-iteration one). Each trial carries a cycle budget
@@ -49,6 +53,7 @@ use higpu_workloads::{Scale, WorkloadRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -429,7 +434,6 @@ fn draw_model(rng: &mut StdRng, spec: FaultSpec, num_sms: usize, window_end: u64
         },
         FaultSpec::Misroute => FaultModel::SchedulerMisroute {
             shift: rng.gen_range(1..num_sms),
-            from_cycle: 0,
         },
     }
 }
@@ -636,6 +640,15 @@ impl CampaignPerf {
     fn merge(&mut self, other: CampaignPerf) {
         self.sim_instructions += other.sim_instructions;
         self.sim_cycles += other.sim_cycles;
+    }
+
+    /// The cost accrued since `earlier`, a previous reading of the same
+    /// runner's counter.
+    fn since(self, earlier: CampaignPerf) -> CampaignPerf {
+        CampaignPerf {
+            sim_instructions: self.sim_instructions - earlier.sim_instructions,
+            sim_cycles: self.sim_cycles - earlier.sim_cycles,
+        }
     }
 }
 
@@ -1110,6 +1123,25 @@ pub fn run_campaign_with_perf(
     run_campaign_engine(cfg, mode, spec, workload).map(|(report, perf, _)| (report, perf))
 }
 
+/// The distinct models of `models` in first-occurrence order, each with the
+/// number of times it was drawn. The first occurrence is the lowest trial
+/// index of its model, so the pool's lowest-failing-index error rule picks
+/// the same model it would over the full list.
+fn distinct_models(models: &[FaultModel]) -> Vec<(FaultModel, u32)> {
+    let mut index: HashMap<FaultModel, usize> = HashMap::with_capacity(models.len());
+    let mut distinct: Vec<(FaultModel, u32)> = Vec::with_capacity(models.len());
+    for &model in models {
+        match index.entry(model) {
+            Entry::Occupied(e) => distinct[*e.get()].1 += 1,
+            Entry::Vacant(e) => {
+                e.insert(distinct.len());
+                distinct.push((model, 1));
+            }
+        }
+    }
+    distinct
+}
+
 fn run_campaign_engine(
     cfg: &CampaignConfig,
     mode: &RedundancyMode,
@@ -1119,10 +1151,12 @@ fn run_campaign_engine(
     let (reference, window_end) = prepare_reference(cfg, mode, workload)?;
     let reference = reference.as_ref();
     let deadline = Some(ftti_deadline(window_end, workload.ftti_multiplier()));
-    let models = draw_models(cfg, spec, window_end);
+    let models = distinct_models(&draw_models(cfg, spec, window_end));
     let report = empty_report(cfg, mode, spec, workload, window_end);
     // Each worker owns one reusable device and order-independent
-    // accumulators; summing them is the deterministic reduction.
+    // accumulators; summing them is the deterministic reduction. A model
+    // drawn n times adds its outcome, observables and simulated cost n
+    // times, exactly as n simulations of it would.
     let parts = run_pool(
         models.len(),
         cfg.resolved_workers(),
@@ -1131,17 +1165,24 @@ fn run_campaign_engine(
                 CampaignRunner::new(cfg),
                 OutcomeCounts::default(),
                 CampaignTelemetry::default(),
+                CampaignPerf::default(),
             )
         },
-        |(runner, counts, telemetry), i| {
+        |(runner, counts, telemetry, perf), i| {
+            let (model, drawn) = models[i];
+            let before = runner.perf();
             let (outcome, obs) = runner.run_trial_observed_with_makespan(
-                mode, workload, models[i], deadline, reference, window_end,
+                mode, workload, model, deadline, reference, window_end,
             )?;
-            counts.add(outcome);
-            telemetry.record(outcome, obs);
+            let cost = runner.perf().since(before);
+            for _ in 0..drawn {
+                counts.add(outcome);
+                telemetry.record(outcome, obs);
+                perf.merge(cost);
+            }
             Ok::<_, RedundancyError>(())
         },
-        |(runner, counts, telemetry)| (counts, runner.perf(), telemetry),
+        |(_, counts, telemetry, perf)| (counts, perf, telemetry),
     )?;
     let mut counts = OutcomeCounts::default();
     let mut perf = CampaignPerf::default();

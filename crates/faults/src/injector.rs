@@ -76,10 +76,7 @@ impl FaultHook for FaultInjector {
         num_sms: usize,
         fits: &dyn Fn(usize) -> bool,
     ) -> usize {
-        if let FaultModel::SchedulerMisroute { shift, from_cycle } = self.model {
-            // The misroute manifests from a cycle on; the hook has no clock,
-            // so `from_cycle == 0` means "always". Campaigns use 0.
-            let _ = from_cycle;
+        if let FaultModel::SchedulerMisroute { shift } = self.model {
             let target = (chosen_sm + shift) % num_sms;
             if fits(target) {
                 self.counters
@@ -135,13 +132,8 @@ mod tests {
     #[test]
     fn misroute_shifts_assignments_that_fit() {
         let counters = InjectionCounters::shared();
-        let mut inj = FaultInjector::new(
-            FaultModel::SchedulerMisroute {
-                shift: 2,
-                from_cycle: 0,
-            },
-            counters.clone(),
-        );
+        let mut inj =
+            FaultInjector::new(FaultModel::SchedulerMisroute { shift: 2 }, counters.clone());
         let sm = inj.reroute_block(KernelId(0), 0, 1, 6, &|_| true);
         assert_eq!(sm, 3);
         // When the target does not fit, the original stands.

@@ -7,7 +7,7 @@
 use higpu_sim::fault::FaultCtx;
 
 /// The fault universe considered in the paper's safety argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultModel {
     /// A transient fault local to one SM: every value produced on `sm`
     /// during `[start, start+duration)` has `bit` flipped.
@@ -45,15 +45,13 @@ pub enum FaultModel {
         /// Stuck bit.
         bit: u8,
     },
-    /// A fault in the global kernel scheduler: from `from_cycle` on, every
-    /// block assignment is shifted to `(sm + shift) % num_sms`. Functionally
-    /// silent — exactly the latent-diversity-loss fault of paper Sec. IV-C
-    /// that the periodic scheduler self-test must reveal.
+    /// A fault in the global kernel scheduler: every block assignment, from
+    /// the first dispatch on, is shifted to `(sm + shift) % num_sms`.
+    /// Functionally silent — exactly the latent-diversity-loss fault of
+    /// paper Sec. IV-C that the periodic scheduler self-test must reveal.
     SchedulerMisroute {
         /// Placement shift.
         shift: usize,
-        /// Cycle the fault manifests.
-        from_cycle: u64,
     },
 }
 
@@ -233,11 +231,7 @@ mod tests {
             }
         }
         assert_eq!(
-            FaultModel::SchedulerMisroute {
-                shift: 1,
-                from_cycle: 7,
-            }
-            .arm_cycle(),
+            FaultModel::SchedulerMisroute { shift: 1 }.arm_cycle(),
             0,
             "misroutes shift placements from the first dispatch on"
         );
@@ -245,10 +239,7 @@ mod tests {
 
     #[test]
     fn misroute_corrupts_no_values() {
-        let f = FaultModel::SchedulerMisroute {
-            shift: 1,
-            from_cycle: 0,
-        };
+        let f = FaultModel::SchedulerMisroute { shift: 1 };
         assert!(!f.corrupts(&ctx(0, 0)));
         assert!(f.is_common_cause());
         assert_eq!(f.label(), "scheduler-misroute");

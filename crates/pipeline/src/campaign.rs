@@ -18,14 +18,20 @@
 //! pool ([`higpu_faults::campaign::run_pool`]): pre-drawn models, reusable
 //! per-worker devices and an order-independent count reduction, so the
 //! report is bit-identical at every worker count
-//! ([`run_pipeline_campaign_serial`] is the one-worker reference).
+//! ([`run_pipeline_campaign_serial`] is the one-worker reference). The pool
+//! engine also resumes each limp-home mission at the last fault-free frame
+//! entry before its fault arms, from prefixes recorded once per cell; the
+//! reference runs every mission from cycle 0.
 
 use crate::exec::{
     plan, run_pipeline, ExecMode, FrameOptions, PipelineError, PipelinePlan, PipelineRun,
     RecoveryPolicy,
 };
 use crate::graph::{Pipeline, PipelineRegistry};
-use crate::limp::{run_limp_home_with, DegradedPlans, FrameStatus, LimpHomeReport};
+use crate::limp::{
+    record_frame_prefixes, run_limp_home_with, DegradedPlans, FramePrefix, FrameStatus,
+    LimpHomeReport,
+};
 use higpu_core::diversity::{analyze, DiversityRequirements};
 use higpu_core::policy::PolicyKind;
 use higpu_core::redundancy::{RedundancyError, RedundancyMode};
@@ -503,6 +509,11 @@ impl PipelineCampaignRunner {
     /// whose window closed without a corruption stops there and returns
     /// `NotActivated` with an empty report.
     ///
+    /// Every mission runs from cycle 0. This is the oracle the campaign
+    /// engine's frame-boundary fast-forward is fenced against: the engine
+    /// resumes each mission at the last fault-free frame entry before the
+    /// fault arms (README, *Frame-boundary fast-forward*).
+    ///
     /// # Errors
     ///
     /// Propagates device/protocol errors (never mere corruption).
@@ -523,12 +534,17 @@ impl PipelineCampaignRunner {
             frames,
             model,
             &mut DegradedPlans::default(),
+            &[],
         )
     }
 
     /// [`Self::run_limp_trial`] with degraded plans taken from (and added
-    /// to) `plans`, which must belong to this `(pipeline, mode)` cell.
-    #[allow(clippy::too_many_arguments)] // the public trial's inputs plus the memo
+    /// to) `plans`, which must belong to this `(pipeline, mode)` cell, and
+    /// resumed from the latest of the cell's fault-free `prefixes` (see
+    /// [`record_frame_prefixes`]) whose frame entry is at or before the
+    /// model's arm cycle. The fault corrupts nothing before it arms, so
+    /// the mission up to that entry is the fault-free one.
+    #[allow(clippy::too_many_arguments)] // the public trial's inputs plus memo and prefixes
     fn run_limp_trial_with(
         &mut self,
         pipeline: &Pipeline,
@@ -538,8 +554,13 @@ impl PipelineCampaignRunner {
         frames: u32,
         model: FaultModel,
         plans: &mut DegradedPlans,
+        prefixes: &[FramePrefix],
     ) -> Result<(PipelineTrialOutcome, LimpHomeReport), PipelineError> {
         let counters = self.arm(model);
+        let from = prefixes
+            .iter()
+            .rev()
+            .find(|p| p.cycle() <= model.arm_cycle());
         let rep = match run_limp_home_with(
             &mut self.gpu,
             pipeline,
@@ -548,6 +569,7 @@ impl PipelineCampaignRunner {
             opts,
             frames as usize,
             plans,
+            from,
         ) {
             Err(e) if is_inert_exit(&e) => {
                 return Ok((
@@ -562,7 +584,8 @@ impl PipelineCampaignRunner {
     }
 
     /// Rewinds the device, installs `model`'s injector and arms the
-    /// inert-fault cutoff at the model's window end (see the README's
+    /// inert-fault cutoff at the model's window end (both survive a later
+    /// [`Gpu::restore`]; see the README's
     /// *Inert-fault early exit*). A mission or frame that reaches it without
     /// a corruption is the fault-free one from there on, and a fault-free
     /// frame runs inside its calibrated budgets: it misses no deadline,
@@ -702,12 +725,20 @@ struct ResolvedSpec {
     /// critical-path — total otherwise).
     frame_makespan: u64,
     models: Vec<FaultModel>,
+    /// The fault-free mission's frame entries the trials resume from
+    /// (empty for single-frame cells and the from-zero reference engine).
+    prefixes: Vec<FramePrefix>,
 }
 
+/// Resolves `spec` into the cell's pipeline, plan and models. With
+/// `fast_forward`, a multi-frame cell also records its fault-free mission's
+/// frame prefixes once, for every trial to resume from (a misroute arms at
+/// cycle 0, so its missions never do).
 fn resolve(
     cfg: &CampaignConfig,
     reg: &PipelineRegistry,
     spec: &PipelineCampaignSpec,
+    fast_forward: bool,
 ) -> Result<ResolvedSpec, PipelineCampaignError> {
     let pipeline = reg
         .build(&spec.pipeline, spec.scale)
@@ -736,6 +767,18 @@ fn resolve(
     // (and therefore their exact historical draws).
     let window = frame_makespan.saturating_mul(u64::from(spec.frames.max(1)));
     let models = draw_models(cfg, spec.fault, window);
+    let prefixes = if fast_forward && spec.frames > 1 {
+        record_frame_prefixes(
+            &cfg.gpu,
+            &pipeline,
+            &mode,
+            &frame_plan,
+            opts,
+            spec.frames as usize,
+        )?
+    } else {
+        Vec::new()
+    };
     Ok(ResolvedSpec {
         pipeline,
         mode,
@@ -743,6 +786,7 @@ fn resolve(
         opts,
         frame_makespan,
         models,
+        prefixes,
     })
 }
 
@@ -810,6 +854,7 @@ fn run_one_trial(
             spec.frames,
             model,
             plans,
+            &resolved.prefixes,
         )?;
         counts.add_limp(outcome, &rep);
     } else {
@@ -826,10 +871,12 @@ fn run_one_trial(
     Ok(())
 }
 
-/// The one-worker reference: [`run_pipeline_campaign`] at one worker, so
-/// one runner and one degraded-plan memo run every trial in draw order in
-/// the calling thread — the report the pool must reproduce at every worker
-/// count.
+/// The one-worker reference: one runner and one degraded-plan memo run
+/// every trial in draw order in the calling thread, and every mission from
+/// cycle 0 (no frame-boundary fast-forward). This is the report
+/// [`run_pipeline_campaign`] must reproduce at every worker count, so
+/// `campaign_matrix --check-serial` diffs fast-forwarded missions against
+/// from-zero ones.
 ///
 /// # Errors
 ///
@@ -839,18 +886,16 @@ pub fn run_pipeline_campaign_serial(
     reg: &PipelineRegistry,
     spec: &PipelineCampaignSpec,
 ) -> Result<PipelineCampaignReport, PipelineCampaignError> {
-    let one = CampaignConfig {
-        workers: 1,
-        ..cfg.clone()
-    };
-    run_pipeline_campaign(&one, reg, spec)
+    run_engine(cfg, reg, spec, 1, false)
 }
 
 /// Runs a pipeline campaign on a pool of
 /// [`CampaignConfig::resolved_workers`] threads. Bit-identical to
 /// [`run_pipeline_campaign_serial`] at every worker count: all randomness
 /// is pre-drawn, every trial is a pure function of its model, and the
-/// reduction is a sum of order-independent counts.
+/// reduction is a sum of order-independent counts. A limp-home mission
+/// resumes at the last fault-free frame entry before its fault arms
+/// instead of re-simulating the frames before it.
 ///
 /// # Errors
 ///
@@ -862,10 +907,22 @@ pub fn run_pipeline_campaign(
     reg: &PipelineRegistry,
     spec: &PipelineCampaignSpec,
 ) -> Result<PipelineCampaignReport, PipelineCampaignError> {
-    let resolved = resolve(cfg, reg, spec)?;
+    run_engine(cfg, reg, spec, cfg.resolved_workers(), true)
+}
+
+/// The campaign engine behind both entry points: `workers` pool threads,
+/// with or without the frame-boundary fast-forward.
+fn run_engine(
+    cfg: &CampaignConfig,
+    reg: &PipelineRegistry,
+    spec: &PipelineCampaignSpec,
+    workers: usize,
+    fast_forward: bool,
+) -> Result<PipelineCampaignReport, PipelineCampaignError> {
+    let resolved = resolve(cfg, reg, spec, fast_forward)?;
     let parts = run_pool(
         resolved.models.len(),
-        cfg.resolved_workers(),
+        workers,
         || {
             (
                 PipelineCampaignRunner::new(cfg),
@@ -991,6 +1048,137 @@ mod tests {
         )
         .expect("parallel engine");
         assert_eq!(r, par);
+    }
+
+    /// The frame-boundary fast-forward fence: every mission the engine
+    /// resumes from a fault-free frame prefix must equal the from-zero
+    /// oracle, outcome and report, and resume exactly where it should.
+    #[test]
+    fn fast_forwarded_missions_equal_from_zero_missions() {
+        use higpu_sim::config::GpuConfig;
+        let reg = full_pipeline_registry();
+        let mut gpu = GpuConfig::wide_10sm();
+        gpu.global_mem_bytes = 2 * 1024 * 1024;
+        let cfg = CampaignConfig {
+            trials: 2,
+            seed: 11,
+            gpu,
+            ..CampaignConfig::default()
+        };
+        let mut restored = 0;
+        for pipeline in ["ad_pipeline", "sensor_fusion"] {
+            for exec in [ExecMode::Serial, ExecMode::Overlapped] {
+                for fault in [
+                    FaultSpec::Transient { duration: 400 },
+                    FaultSpec::Droop { duration: 400 },
+                    FaultSpec::Permanent,
+                ] {
+                    let spec = PipelineCampaignSpec::new(pipeline, PolicyKind::Srrs, fault)
+                        .with_exec(exec)
+                        .with_frames(4);
+                    let r = resolve(&cfg, &reg, &spec, true).expect("cell resolves");
+                    let entries: Vec<u64> = r.prefixes.iter().map(FramePrefix::cycle).collect();
+                    assert_eq!(entries.len(), 3, "one prefix per frame entry 1..4");
+                    assert!(entries.windows(2).all(|w| w[0] < w[1]), "{entries:?}");
+                    let [c1, c2, c3] = [entries[0], entries[1], entries[2]];
+                    // Hand-built models at the boundaries, each with the
+                    // frame entry it must resume from (0: from zero).
+                    let edges = match fault {
+                        FaultSpec::Transient { duration } => vec![
+                            // Inside frame 0: nothing to skip.
+                            (
+                                FaultModel::TransientSm {
+                                    sm: 1,
+                                    start: c1 / 2,
+                                    duration,
+                                    bit: 3,
+                                },
+                                0,
+                            ),
+                            // Exactly at a frame entry.
+                            (
+                                FaultModel::TransientSm {
+                                    sm: 2,
+                                    start: c2,
+                                    duration,
+                                    bit: 4,
+                                },
+                                c2,
+                            ),
+                        ],
+                        // A window straddling frame 3's entry resumes at
+                        // frame 2.
+                        FaultSpec::Droop { duration } => vec![(
+                            FaultModel::VoltageDroop {
+                                start: c3 - duration / 2,
+                                duration,
+                                bit: 6,
+                            },
+                            c2,
+                        )],
+                        _ => vec![
+                            (
+                                FaultModel::PermanentSm {
+                                    sm: 3,
+                                    from_cycle: c2,
+                                    bit: 5,
+                                },
+                                c2,
+                            ),
+                            // One cycle before the entry: one frame earlier.
+                            (
+                                FaultModel::PermanentSm {
+                                    sm: 3,
+                                    from_cycle: c2 - 1,
+                                    bit: 5,
+                                },
+                                c1,
+                            ),
+                        ],
+                    };
+                    let drawn = r.models.iter().map(|&m| {
+                        let at = entries.iter().rev().find(|&&c| c <= m.arm_cycle());
+                        (m, at.copied().unwrap_or(0))
+                    });
+                    let mut plans = DegradedPlans::default();
+                    for (model, resume_at) in edges.into_iter().chain(drawn) {
+                        let mut ff = PipelineCampaignRunner::new(&cfg);
+                        let got = ff
+                            .run_limp_trial_with(
+                                &r.pipeline,
+                                &r.mode,
+                                &r.frame_plan,
+                                r.opts,
+                                spec.frames,
+                                model,
+                                &mut plans,
+                                &r.prefixes,
+                            )
+                            .expect("fast-forwarded mission");
+                        assert_eq!(
+                            ff.gpu.restore_skipped_cycles(),
+                            resume_at,
+                            "{pipeline}/{}: {model:?} resumed at the wrong frame entry",
+                            exec.label()
+                        );
+                        restored += u32::from(resume_at > 0);
+                        let want = PipelineCampaignRunner::new(&cfg)
+                            .run_limp_trial(
+                                &r.pipeline,
+                                &r.mode,
+                                &r.frame_plan,
+                                r.opts,
+                                spec.frames,
+                                model,
+                            )
+                            .expect("from-zero mission");
+                        assert_eq!(got, want, "{pipeline}/{}: {model:?}", exec.label());
+                    }
+                }
+            }
+        }
+        // 16 hand-built models restore by construction; drawn ones must too.
+        assert!(restored > 16, "drawn missions never resumed: {restored}");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::graph::Pipeline;
 use higpu_core::health::{sm_bist_sweep, Evidence, HealthMonitor};
 use higpu_core::redundancy::{RedundancyError, RedundancyMode};
 use higpu_sim::config::GpuConfig;
-use higpu_sim::gpu::Gpu;
+use higpu_sim::gpu::{DeviceSnapshot, Gpu};
 use higpu_workloads::SessionError;
 use std::collections::HashMap;
 
@@ -223,6 +223,7 @@ pub fn run_limp_home(
         opts,
         frames,
         &mut DegradedPlans::default(),
+        None,
     )
 }
 
@@ -250,7 +251,13 @@ impl DegradedPlans {
     }
 }
 
-/// [`run_limp_home`] with degraded plans taken from (and added to) `plans`.
+/// [`run_limp_home`] with degraded plans taken from (and added to) `plans`,
+/// resumed from `from` when given: the device is restored to the prefix's
+/// snapshot and the frame loop continues from the prefix's frame with its
+/// carried state. The caller guarantees the device would have reached that
+/// state on its own (the prefix is fault-free up to a cycle the installed
+/// fault cannot influence), so the report equals the from-zero mission's.
+#[allow(clippy::too_many_arguments)] // the public mission's inputs plus memo and prefix
 pub(crate) fn run_limp_home_with(
     gpu: &mut Gpu,
     pipeline: &Pipeline,
@@ -259,29 +266,121 @@ pub(crate) fn run_limp_home_with(
     opts: FrameOptions,
     frames: usize,
     plans: &mut DegradedPlans,
+    from: Option<&FramePrefix>,
 ) -> Result<LimpHomeReport, PipelineError> {
+    let mut mission = match from {
+        Some(prefix) => {
+            gpu.restore(&prefix.snap);
+            prefix.mission.clone()
+        }
+        None => Mission::new(gpu.config().num_sms, initial_plan, frames),
+    };
+    run_frames(&mut mission, gpu, pipeline, mode, opts, frames, plans)?;
+    Ok(mission.report)
+}
+
+/// The fault-free mission at the entry of one frame `k >= 1`: the device
+/// snapshot taken before frame `k` frees the previous frame's buffers,
+/// plus the mission state carried into frame `k`. Frame entries are the
+/// natural checkpoints of a mission: the device is idle there and the host
+/// state is small. `Send + Sync`, so one recording serves every worker.
+#[derive(Debug, Clone)]
+pub(crate) struct FramePrefix {
+    snap: DeviceSnapshot,
+    mission: Mission,
+}
+
+impl FramePrefix {
+    /// Device cycle of the frame entry.
+    pub(crate) fn cycle(&self) -> u64 {
+        self.snap.cycle()
+    }
+}
+
+/// Runs the fault-free mission on a fresh device and records a
+/// [`FramePrefix`] at the entry of every frame `1..frames`, ascending in
+/// cycle. The last frame itself is never run: nothing resumes after it.
+pub(crate) fn record_frame_prefixes(
+    gpu_cfg: &GpuConfig,
+    pipeline: &Pipeline,
+    mode: &RedundancyMode,
+    initial_plan: &PipelinePlan,
+    opts: FrameOptions,
+    frames: usize,
+) -> Result<Vec<FramePrefix>, PipelineError> {
+    let mut gpu = Gpu::new(gpu_cfg.clone());
+    let mut mission = Mission::new(gpu_cfg.num_sms, initial_plan, frames);
+    let mut plans = DegradedPlans::default();
+    let mut prefixes = Vec::with_capacity(frames.saturating_sub(1));
+    for frame in 1..frames {
+        run_frames(
+            &mut mission,
+            &mut gpu,
+            pipeline,
+            mode,
+            opts,
+            frame,
+            &mut plans,
+        )?;
+        prefixes.push(FramePrefix {
+            snap: gpu.snapshot(),
+            mission: mission.clone(),
+        });
+    }
+    Ok(prefixes)
+}
+
+/// What the frame loop carries from one frame to the next: the report so
+/// far, the health monitor, the plan in force and the fail-stop flag.
+#[derive(Debug, Clone)]
+struct Mission {
+    report: LimpHomeReport,
+    monitor: HealthMonitor,
+    current: PipelinePlan,
+    failstop: bool,
+}
+
+impl Mission {
+    fn new(num_sms: usize, initial_plan: &PipelinePlan, frames: usize) -> Self {
+        Self {
+            report: LimpHomeReport {
+                frames: Vec::with_capacity(frames),
+                ..LimpHomeReport::default()
+            },
+            monitor: HealthMonitor::new(num_sms),
+            current: initial_plan.clone(),
+            failstop: false,
+        }
+    }
+}
+
+/// Runs `mission`'s next frames up to (not including) frame `until`.
+fn run_frames(
+    mission: &mut Mission,
+    gpu: &mut Gpu,
+    pipeline: &Pipeline,
+    mode: &RedundancyMode,
+    opts: FrameOptions,
+    until: usize,
+    plans: &mut DegradedPlans,
+) -> Result<(), PipelineError> {
     let sim_err = |e| PipelineError::Session(SessionError::Sim(e));
     let replicas = usize::from(mode.replicas());
-    let mut monitor = HealthMonitor::new(gpu.config().num_sms);
-    let mut report = LimpHomeReport {
-        frames: Vec::with_capacity(frames),
-        quarantined: Vec::new(),
-        diagnosis_frame: None,
-        degraded_plan: None,
-        unattributed_detections: 0,
-        bist_sweeps: 0,
-    };
-    let mut current = initial_plan.clone();
-    let mut mission_failstop = false;
-    for frame in 0..frames {
-        if mission_failstop {
+    let Mission {
+        report,
+        monitor,
+        current,
+        failstop,
+    } = mission;
+    for frame in report.frames.len()..until {
+        if *failstop {
             // Safe state: the mission has fail-stopped; remaining frames
             // are shed, not run.
             report.frames.push(FrameRecord {
                 frame,
                 status: FrameStatus::FailStopped,
                 start_cycle: gpu.cycle(),
-                e2e_budget: e2e_budget(&current, opts),
+                e2e_budget: e2e_budget(current, opts),
                 run: None,
                 quarantined_after: report.quarantined.clone(),
             });
@@ -292,8 +391,8 @@ pub(crate) fn run_limp_home_with(
         // watchdog abort).
         gpu.free_all().map_err(sim_err)?;
         let start_cycle = gpu.cycle();
-        let budget = e2e_budget(&current, opts);
-        let run = crate::exec::run_pipeline(gpu, pipeline, mode, &current, opts)?;
+        let budget = e2e_budget(current, opts);
+        let run = crate::exec::run_pipeline(gpu, pipeline, mode, current, opts)?;
         if run.completed() {
             let status = if report.quarantined.is_empty() {
                 FrameStatus::Nominal
@@ -335,7 +434,7 @@ pub(crate) fn run_limp_home_with(
             if gpu.effective_sms() < replicas {
                 // Not enough in-service SMs for one SM per replica: no
                 // degraded plan can restore diversity — fail-stop.
-                mission_failstop = true;
+                *failstop = true;
             } else {
                 // Limp-home re-planning: re-derive every budget for the
                 // shrunken device on a scratch clone (the mission clock
@@ -343,9 +442,9 @@ pub(crate) fn run_limp_home_with(
                 match plans.plan(gpu.config(), &report.quarantined, pipeline, mode) {
                     Ok(p) => {
                         report.degraded_plan = Some(p.clone());
-                        current = p;
+                        *current = p;
                     }
-                    Err(e) if is_unschedulable(&e) => mission_failstop = true,
+                    Err(e) if is_unschedulable(&e) => *failstop = true,
                     Err(e) => return Err(e),
                 }
             }
@@ -363,7 +462,7 @@ pub(crate) fn run_limp_home_with(
             quarantined_after: report.quarantined.clone(),
         });
     }
-    Ok(report)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -466,6 +565,7 @@ mod tests {
                 FrameOptions::default(),
                 4,
                 plans,
+                None,
             )
             .expect("mission runs")
         };

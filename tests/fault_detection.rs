@@ -86,10 +86,7 @@ fn specific_permanent_fault_is_detected_by_srrs_and_missed_by_default() {
 
 #[test]
 fn scheduler_misroute_is_caught_by_the_self_test() {
-    let fault = FaultModel::SchedulerMisroute {
-        shift: 2,
-        from_cycle: 0,
-    };
+    let fault = FaultModel::SchedulerMisroute { shift: 2 };
     let outcome = run_trial(&RedundancyMode::srrs_default(6), fault);
     assert_eq!(
         outcome,
