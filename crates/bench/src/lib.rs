@@ -8,18 +8,16 @@
 //!   Redundant-Serialized;
 //! * [`fig3`] — kernel classification (short / heavy / friendly) and the
 //!   per-kernel policy recommendation;
-//! * [`coverage`] — fault-injection detection coverage per policy (the
-//!   quantified safety argument);
-//! * [`matrix`] — the campaign matrix: coverage campaigns swept over
-//!   {workload × fault model × scheduler policy} through the unified
-//!   workload registry (full Rodinia suite included); `campaign_matrix
-//!   --json` writes it, with its telemetry, as `BENCH_campaign.json`;
+//! * [`matrix`] — the campaign matrix, the quantified safety argument:
+//!   fault-injection coverage campaigns swept over {workload × fault model
+//!   × scheduler policy} through the unified workload registry (full
+//!   Rodinia suite included); `campaign_matrix --json` writes it, with its
+//!   telemetry, as `BENCH_campaign.json`;
 //! * [`table`] — plain-text/CSV rendering helpers shared by the binaries.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod coverage;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;

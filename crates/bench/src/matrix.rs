@@ -73,8 +73,9 @@ pub struct MatrixConfig {
     /// Worker threads per campaign (0 = auto; see
     /// [`CampaignConfig::resolved_workers`]).
     pub workers: usize,
-    /// Also run the serial reference engine per cell and assert the
-    /// parallel report bit-identical (slower; the determinism fence).
+    /// Also run the serial reference engine per cell (every trial simulated
+    /// in full from cycle 0) and assert the parallel report bit-identical
+    /// (slower; the determinism fence).
     pub check_serial: bool,
     /// Replica counts swept *additionally* on the wide 10-SM device for
     /// the workload axis (empty = no wide cells). The paper-sized 6-SM
@@ -96,14 +97,12 @@ pub struct MatrixConfig {
     /// sweep runs. Wall-clock display only — never feeds any report or
     /// the telemetry document.
     pub progress: bool,
-    /// Checkpointed suffix-only replay for the workload campaign cells
-    /// (standard and wide device; see `higpu_faults::checkpoint`). Like
-    /// `workers`, this must not change any report — sweeping
-    /// the matrix with and without and diffing is the checkpointing
-    /// determinism cross-check (`campaign_matrix --checkpoint`). Pipeline
-    /// and limp-home cells always run from zero (their engines drive
-    /// multi-frame missions, not single redundant computations).
-    pub checkpoint: Option<CheckpointConfig>,
+    /// Run the workload campaign cells (standard and wide device) with
+    /// checkpointed suffix-only replay at the default stride (see
+    /// `higpu_faults::checkpoint`). Like `workers`, this must not change
+    /// any report; with [`MatrixConfig::check_serial`] every checkpointed
+    /// cell is diffed against the from-zero serial oracle.
+    pub checkpoint: bool,
 }
 
 impl Default for MatrixConfig {
@@ -123,7 +122,7 @@ impl Default for MatrixConfig {
             wide_replica_counts: vec![5],
             limp_frames: 4,
             progress: false,
-            checkpoint: None,
+            checkpoint: false,
         }
     }
 }
@@ -1221,16 +1220,12 @@ pub fn run_matrix(
             seed: cfg.seed,
             gpu: cell.device.gpu(),
             workers: cfg.workers,
-            // Pipeline campaigns drive multi-frame missions through their
-            // own engine; suffix replay applies to workload cells only.
-            checkpoint: None,
+            // Read by the workload engine only; the pipeline engine always
+            // resumes missions from its own frame-entry snapshots.
+            checkpoint: cfg.checkpoint.then(CheckpointConfig::default),
         };
         match &cell.spec {
             CellSpec::Workload(spec) => {
-                let campaign = CampaignConfig {
-                    checkpoint: cfg.checkpoint,
-                    ..campaign
-                };
                 let (report, cell_telemetry) =
                     run_campaign_selected_with_telemetry(&campaign, reg, spec)?;
                 if cfg.check_serial {

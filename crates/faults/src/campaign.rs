@@ -139,12 +139,12 @@ pub struct CampaignConfig {
     /// of available CPUs. Has no effect on the campaign's results — only on
     /// its wall-clock time.
     pub workers: usize,
-    /// Checkpointed suffix-only replay (see [`crate::checkpoint`]):
-    /// `Some` records one fault-free reference pass per campaign and
-    /// fast-forwards every trial to the snapshot nearest before its fault
-    /// arm cycle. Has no effect on the campaign's results — only on its
-    /// wall-clock time — like `workers` (enforced by the determinism
-    /// fences).
+    /// Checkpointed suffix-only replay (see [`crate::checkpoint`]) for the
+    /// pool engines: `Some` records one fault-free reference pass per
+    /// campaign and fast-forwards every trial to the snapshot nearest before
+    /// its fault arm cycle. Like `workers`, it changes only wall-clock time,
+    /// never the results (enforced by the determinism fences). The serial
+    /// oracle ([`run_campaign_serial`]) ignores it and runs from cycle 0.
     pub checkpoint: Option<CheckpointConfig>,
 }
 
@@ -1044,29 +1044,11 @@ fn finish_report(mut report: CampaignReport, counts: OutcomeCounts) -> CampaignR
     report
 }
 
-/// The campaign's reference pass and fault window, resolved per
-/// `cfg.checkpoint`: either a recorded [`ReferenceRun`] (whose makespan is
-/// bit-identical to the dry run's — checkpoint pauses are transparent) or
-/// a plain [`dry_run_makespan`]. Factored out so the serial and parallel
-/// engines derive the window, deadline and models identically.
-fn prepare_reference(
-    cfg: &CampaignConfig,
-    mode: &RedundancyMode,
-    workload: &dyn RedundantWorkload,
-) -> Result<(Option<ReferenceRun>, u64), RedundancyError> {
-    match cfg.checkpoint {
-        Some(ck) => {
-            let reference = record_reference(cfg, mode, workload, ck.stride)?;
-            let makespan = reference.makespan();
-            Ok((Some(reference), makespan))
-        }
-        None => Ok((None, dry_run_makespan(cfg, mode, workload)?)),
-    }
-}
-
 /// The reference serial engine: one freshly constructed device per trial,
-/// trials in draw order. Kept as the oracle the parallel engine is checked
-/// against.
+/// trials in draw order, every trial simulated in full from cycle 0. It
+/// ignores `cfg.checkpoint` as it ignores `cfg.workers`, so it is the
+/// simpler oracle the parallel, early-exiting and checkpointed engine is
+/// checked against.
 ///
 /// # Errors
 ///
@@ -1077,7 +1059,7 @@ pub fn run_campaign_serial(
     spec: FaultSpec,
     workload: &dyn RedundantWorkload,
 ) -> Result<CampaignReport, RedundancyError> {
-    let (reference, window_end) = prepare_reference(cfg, mode, workload)?;
+    let window_end = dry_run_makespan(cfg, mode, workload)?;
     let deadline = Some(ftti_deadline(window_end, workload.ftti_multiplier()));
     let models = draw_models(cfg, spec, window_end);
     let mut counts = OutcomeCounts::default();
@@ -1086,13 +1068,8 @@ pub fn run_campaign_serial(
             counts.add(TrialOutcome::NotActivated);
             continue;
         }
-        let (outcome, _) = CampaignRunner::new(cfg).run_trial_observed(
-            mode,
-            workload,
-            model,
-            deadline,
-            reference.as_ref(),
-        )?;
+        let (outcome, _) =
+            CampaignRunner::new(cfg).run_trial_observed(mode, workload, model, deadline, None)?;
         counts.add(outcome);
     }
     Ok(finish_report(
@@ -1148,7 +1125,16 @@ fn run_campaign_engine(
     spec: FaultSpec,
     workload: &dyn RedundantWorkload,
 ) -> Result<(CampaignReport, CampaignPerf, CampaignTelemetry), RedundancyError> {
-    let (reference, window_end) = prepare_reference(cfg, mode, workload)?;
+    // A recorded reference's makespan equals the dry run's (checkpoint
+    // pauses are transparent), so both engines draw the same models.
+    let reference = cfg
+        .checkpoint
+        .map(|ck| record_reference(cfg, mode, workload, ck.stride))
+        .transpose()?;
+    let window_end = match &reference {
+        Some(reference) => reference.makespan(),
+        None => dry_run_makespan(cfg, mode, workload)?,
+    };
     let reference = reference.as_ref();
     let deadline = Some(ftti_deadline(window_end, workload.ftti_multiplier()));
     let models = distinct_models(&draw_models(cfg, spec, window_end));
@@ -1249,8 +1235,9 @@ pub fn run_campaign_selected_with_telemetry(
 }
 
 /// Serial reference form of [`run_campaign_selected`] (one fresh device per
-/// trial, trials in draw order) — the oracle the parallel engine is checked
-/// against.
+/// trial, trials in draw order, every trial from cycle 0 whatever
+/// `cfg.checkpoint` says; see [`run_campaign_serial`]) — the oracle the
+/// parallel engine is checked against.
 ///
 /// # Errors
 ///
@@ -1366,7 +1353,8 @@ mod tests {
         // The full determinism fence: for every fault family, the report is
         // a pure function of (seed, trials, gpu, mode, spec, workload) —
         // independent of the worker count AND of whether trials replay from
-        // checkpoints or run from cycle zero.
+        // checkpoints or run from cycle zero. The oracle is the serial
+        // engine, which always runs from zero.
         let mode = RedundancyMode::srrs_default(6);
         let wl = small_workload();
         for spec in [
@@ -1379,35 +1367,59 @@ mod tests {
             let cfg = small_cfg(trials);
             let oracle = run_campaign_serial(&cfg, &mode, spec, &wl).expect("from-zero serial");
             for stride in [500u64, 4096] {
-                let mut ck_cfg = CampaignConfig {
-                    checkpoint: Some(CheckpointConfig { stride }),
-                    ..cfg.clone()
-                };
-                let serial =
-                    run_campaign_serial(&ck_cfg, &mode, spec, &wl).expect("checkpointed serial");
-                assert_eq!(
-                    serial, oracle,
-                    "checkpointed serial must match from-zero ({spec:?}, stride {stride})"
-                );
+                let mut restores = 0;
                 for workers in [1usize, 2, 8] {
-                    ck_cfg.workers = workers;
-                    let parallel =
-                        run_campaign(&ck_cfg, &mode, spec, &wl).expect("checkpointed parallel");
+                    let ck_cfg = CampaignConfig {
+                        workers,
+                        checkpoint: Some(CheckpointConfig { stride }),
+                        ..cfg.clone()
+                    };
+                    let (parallel, _, telemetry) =
+                        run_campaign_engine(&ck_cfg, &mode, spec, &wl).expect("checkpointed pool");
                     assert_eq!(
                         parallel, oracle,
                         "checkpointed report must not depend on workers={workers} \
                          ({spec:?}, stride {stride})"
                     );
+                    restores += telemetry.restores;
                 }
+                // A misroute arms at cycle 0, so only it never restores.
+                assert!(
+                    spec == FaultSpec::Misroute || restores > 0,
+                    "no checkpointed trial restored a snapshot ({spec:?}, stride {stride}) — \
+                     the fence is vacuous"
+                );
             }
         }
+    }
+
+    /// Runs one trial on a fresh runner and returns its outcome, its
+    /// observables and the device memory it left behind.
+    fn trial_with_memory(
+        cfg: &CampaignConfig,
+        mode: &RedundancyMode,
+        wl: &dyn RedundantWorkload,
+        model: FaultModel,
+        deadline: Option<u64>,
+        reference: Option<&ReferenceRun>,
+    ) -> (TrialOutcome, TrialObservables, Vec<u32>) {
+        let mut runner = CampaignRunner::new(cfg);
+        let (outcome, obs) = runner
+            .run_trial_observed(mode, wl, model, deadline, reference)
+            .expect("trial");
+        let words = cfg.gpu.global_mem_bytes / 4;
+        let memory = runner.gpu_mut().read_u32(higpu_sim::gpu::DevPtr(0), words);
+        (outcome, obs, memory)
     }
 
     #[test]
     fn checkpointed_trial_matches_from_zero_for_adversarial_arm_cycles() {
         // Trial-level fence at hand-picked arm cycles the random draw is
         // unlikely to hit: segment boundaries (the strict-skip edge), cycle
-        // 0, one past a checkpoint, and past the makespan entirely.
+        // 0, one past a checkpoint, points spread over the run, and past the
+        // makespan entirely. A replayed trial must end exactly like its
+        // from-zero twin: outcome, observables (bar the restore counters,
+        // which only replay has) and every word of device memory.
         let cfg = small_cfg(1);
         let mode = RedundancyMode::srrs_default(6);
         let wl = small_workload();
@@ -1423,19 +1435,21 @@ mod tests {
             makespan,
             RedundantWorkload::ftti_multiplier(&wl),
         ));
-        let arms = [
+        let mut arms = vec![
             0,
             1,
             stride,
             stride + 1,
-            makespan / 2,
             makespan - 1,
             makespan,
             makespan + 1,
             makespan * 4,
         ];
+        arms.extend((1..16).map(|k| makespan * k / 16));
+        let mut activated = [0u32; 3];
+        let mut restores = 0;
         for arm in arms {
-            for model in [
+            let models = [
                 FaultModel::TransientSm {
                     sm: 1,
                     start: arm,
@@ -1452,16 +1466,34 @@ mod tests {
                     from_cycle: arm,
                     bit: 7,
                 },
-            ] {
-                let (from_zero, _) = CampaignRunner::new(&cfg)
-                    .run_trial_observed(&mode, &wl, model, deadline, None)
-                    .expect("from-zero trial");
-                let (replayed, _) = CampaignRunner::new(&cfg)
-                    .run_trial_observed(&mode, &wl, model, deadline, Some(&reference))
-                    .expect("checkpointed trial");
-                assert_eq!(replayed, from_zero, "arm {arm}, model {model:?}");
+            ];
+            for (family, model) in models.into_iter().enumerate() {
+                let (want, want_obs, want_mem) =
+                    trial_with_memory(&cfg, &mode, &wl, model, deadline, None);
+                let (got, obs, mem) =
+                    trial_with_memory(&cfg, &mode, &wl, model, deadline, Some(&reference));
+                let at = format!("arm {arm}, model {model:?}");
+                assert_eq!(got, want, "{at}: outcome");
+                assert_eq!(
+                    TrialObservables {
+                        restores: 0,
+                        restore_skipped_cycles: 0,
+                        ..obs
+                    },
+                    want_obs,
+                    "{at}: observables"
+                );
+                assert!(mem == want_mem, "{at}: final device memory differs");
+                activated[family] += u32::from(want_obs.activated);
+                restores += obs.restores;
             }
         }
+        assert!(
+            activated.iter().all(|&n| n > 0),
+            "every family must activate at some arm (transient, droop, permanent: \
+             {activated:?})"
+        );
+        assert!(restores > 0, "no replayed trial restored a snapshot");
     }
 
     #[test]

@@ -106,3 +106,36 @@ fn fault_window_outside_execution_does_not_activate() {
     let outcome = run_trial(&RedundancyMode::srrs_default(6), fault);
     assert_eq!(outcome, TrialOutcome::NotActivated);
 }
+
+#[test]
+fn lockstep_uncontrolled_replicas_let_droops_escape() {
+    // Ablation of the dispatch gap: with no gap the two uncontrolled
+    // replicas run in lockstep on the same SMs, so a droop corrupts the
+    // same computation in both copies identically — the failure mode the
+    // paper's temporal diversity requirement exists to prevent. The
+    // default gap alone already skews them enough to catch every droop.
+    let workload = IteratedFma {
+        n: 512,
+        threads_per_block: 64,
+        iters: 24,
+    };
+    let droop = FaultSpec::Droop { duration: 400 };
+    let base = CampaignConfig {
+        trials: 50,
+        seed: 0xD1CE,
+        ..CampaignConfig::default()
+    };
+    let mut lockstep = base.clone();
+    lockstep.gpu.dispatch_gap_cycles = 0;
+    let mode = RedundancyMode::uncontrolled();
+    let aligned = run_campaign(&lockstep, &mode, droop, &workload).expect("campaign");
+    assert!(
+        aligned.undetected > 0,
+        "lockstep replicas must fail undetected under droops: {aligned:?}"
+    );
+    let gapped = run_campaign(&base, &mode, droop, &workload).expect("campaign");
+    assert_eq!(
+        gapped.undetected, 0,
+        "the default dispatch gap keeps droops detectable: {gapped:?}"
+    );
+}
