@@ -23,6 +23,10 @@
 //!   so the pool simulates each distinct drawn model once and counts it as
 //!   often as it was drawn (a misroute cell draws from only `num_sms - 1`
 //!   shifts). [`run_campaign_serial`] still simulates every trial.
+//! * **No simulation for idle windows** — the pool classifies a model whose
+//!   window meets no block of the fault-free run on the SMs it targets as
+//!   [`TrialOutcome::NotActivated`] without simulating it
+//!   ([`BusyIntervals`], built by the fault-free pass it already runs).
 //! * **FTTI-bounded trials** — corruption can send a kernel into a
 //!   runaway loop (e.g. a loop counter's sign bit flipped turns a 16-pass
 //!   loop into a 2³¹-iteration one). Each trial carries a cycle budget
@@ -48,6 +52,7 @@ use higpu_core::redundancy::{RedundancyError, RedundancyMode, RedundantExecutor}
 use higpu_core::safety_case::DetectionEvidence;
 use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::{Gpu, SimError};
+use higpu_sim::trace::ExecutionTrace;
 use higpu_telemetry::{CycleHistogram, EventKind, NO_SM};
 use higpu_workloads::{Scale, WorkloadRegistry};
 use rand::rngs::StdRng;
@@ -449,11 +454,27 @@ pub fn dry_run_makespan(
     mode: &RedundancyMode,
     workload: &dyn RedundantWorkload,
 ) -> Result<u64, RedundancyError> {
+    dry_run_busy(cfg, mode, workload).map(|busy| busy.makespan())
+}
+
+/// The dry run of [`dry_run_makespan`] (fault-free, no watchdog, fresh
+/// device), returning the per-SM [`BusyIntervals`] of its trace, which
+/// carry the makespan too — what the from-zero campaign engine proves idle
+/// fault windows against.
+///
+/// # Errors
+///
+/// Propagates workload/protocol errors.
+pub fn dry_run_busy(
+    cfg: &CampaignConfig,
+    mode: &RedundancyMode,
+    workload: &dyn RedundantWorkload,
+) -> Result<BusyIntervals, RedundancyError> {
     let mut gpu = Gpu::new(cfg.gpu.clone());
     let mut exec = RedundantExecutor::new(&mut gpu, mode.clone())?;
     workload.run(&mut exec)?;
     drop(exec);
-    Ok(gpu.trace().makespan().unwrap_or(0))
+    Ok(BusyIntervals::from_trace(gpu.trace()))
 }
 
 /// The per-trial FTTI deadline: the workload's declared budget multiplier
@@ -468,9 +489,9 @@ pub fn ftti_deadline(fault_free_makespan: u64, ftti_multiplier: u64) -> u64 {
 }
 
 /// True when `model` provably cannot activate in a run whose fault-free
-/// makespan is `fault_free_makespan` — the campaign-level trivial-trial
-/// fast path: such a trial classifies [`TrialOutcome::NotActivated`]
-/// without simulating anything.
+/// makespan is `fault_free_makespan`, knowing nothing but that makespan:
+/// such a trial classifies [`TrialOutcome::NotActivated`] without
+/// simulating anything.
 ///
 /// Holds only for the window-limited value-corruption models
 /// ([`FaultModel::TransientSm`], [`FaultModel::VoltageDroop`]): their
@@ -486,14 +507,19 @@ pub fn ftti_deadline(fault_free_makespan: u64, ftti_multiplier: u64) -> u64 {
 /// budgets): such a run would be deadline-cut and classified `Detected`, so
 /// it is not trivial.
 ///
-/// Permanent-SM and scheduler-misroute models are never trivial here: their
-/// effect is not bounded by an arm window in the same way (quarantine and
-/// diversity analysis still run), so they always simulate.
+/// Permanent-SM and scheduler-misroute models are never trivial here: a
+/// permanent fault never expires, and a misroute reroutes from the first
+/// dispatch (only misroute trials run the diversity monitor and scheduler
+/// self-test), so they always simulate.
 ///
-/// This is the static special case of the inert-fault early exit (README,
-/// *Inert-fault early exit*): a window that closes before the makespan
-/// without corrupting anything stops the simulation at its end instead
-/// ([`CampaignRunner::run_trial_observed_with_makespan`]).
+/// Campaign draws arm in `0..makespan`, so this makespan-only check skips
+/// no drawn model; it is kept for the serial oracle, which must not share
+/// the pool engine's shortcut. The pool engine proves far more trials
+/// inert from the fault-free pass's per-SM [`BusyIntervals`]
+/// ([`BusyIntervals::proves_not_activated`], which implies this check),
+/// and a window that closes before the makespan without corrupting
+/// anything stops the simulation at its end instead (README, *Inert-fault
+/// early exit*; [`CampaignRunner::run_trial_observed_with_makespan`]).
 pub fn trivially_not_activated(
     model: FaultModel,
     fault_free_makespan: u64,
@@ -508,11 +534,101 @@ pub fn trivially_not_activated(
     }
 }
 
-/// The synthesized [`TrialObservables`] of a trivially-skipped trial (see
-/// [`trivially_not_activated`]): the run ends at the fault-free makespan,
-/// nothing activated, nothing was cut, and — since no simulation ran — no
-/// snapshot restores were performed (checkpointed engines honestly report
-/// the replay work they *saved*).
+/// Where each SM runs blocks in a campaign cell's fault-free run: per SM,
+/// the merged closed intervals `[dispatch, last warp exit]` of the blocks
+/// in its execution trace, sorted by cycle, plus the run's makespan.
+///
+/// Every fault-hook call happens when a warp issues, at a cycle inside its
+/// block's interval on that block's SM, and until the first corrupted value
+/// a trial's schedule is the fault-free one. So a value-corruption model
+/// whose window meets no interval of the SMs it targets corrupts nothing:
+/// its trial *is* the fault-free run. Built once per cell by the
+/// fault-free pass ([`dry_run_busy`], [`crate::checkpoint::record_reference`]);
+/// each lookup is a binary search.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BusyIntervals {
+    makespan: u64,
+    per_sm: Vec<Vec<(u64, u64)>>,
+}
+
+impl BusyIntervals {
+    /// The busy intervals of the blocks in `trace`.
+    pub fn from_trace(trace: &ExecutionTrace) -> Self {
+        let num_sms = trace.blocks.iter().map(|b| b.sm + 1).max().unwrap_or(0);
+        let mut per_sm: Vec<Vec<(u64, u64)>> = vec![Vec::new(); num_sms];
+        for b in &trace.blocks {
+            per_sm[b.sm].push((b.start, b.end));
+        }
+        for intervals in &mut per_sm {
+            intervals.sort_unstable();
+            intervals.dedup_by(|next, merged| {
+                // Closed integer intervals: touching ones merge too.
+                let joins = next.0 <= merged.1.saturating_add(1);
+                if joins {
+                    merged.1 = merged.1.max(next.1);
+                }
+                joins
+            });
+        }
+        Self {
+            makespan: trace.makespan().unwrap_or(0),
+            per_sm,
+        }
+    }
+
+    /// The fault-free makespan.
+    pub fn makespan(&self) -> u64 {
+        self.makespan
+    }
+
+    /// True if `sm` runs a block at some cycle in `[from, to)`.
+    fn busy(&self, sm: usize, from: u64, to: u64) -> bool {
+        let Some(intervals) = self.per_sm.get(sm) else {
+            return false;
+        };
+        let first_open = intervals.partition_point(|&(_, end)| end < from);
+        intervals
+            .get(first_open)
+            .is_some_and(|&(start, _)| start < to)
+    }
+
+    /// True when `model` provably never corrupts a value: no block of the
+    /// fault-free run is on the model's SM (every SM for a droop) at any
+    /// cycle of its window — `[start, start + duration)` for transients and
+    /// droops, `[from_cycle, ∞)` for permanent faults. Such a trial is the
+    /// fault-free run: [`TrialOutcome::NotActivated`], ending at the
+    /// makespan, with nothing to simulate.
+    ///
+    /// Misroutes are never proved idle (they reroute from the first
+    /// dispatch). The `deadline` guard is [`trivially_not_activated`]'s: a
+    /// watchdog tighter than the makespan would cut the fault-free run, so
+    /// nothing is proved under it. Implies [`trivially_not_activated`] for
+    /// the same makespan, since no block ends after the makespan.
+    pub fn proves_not_activated(&self, model: FaultModel, deadline: Option<u64>) -> bool {
+        if deadline.is_some_and(|d| self.makespan > d) {
+            return false;
+        }
+        let (from, to) = (model.arm_cycle(), model.window_end().unwrap_or(u64::MAX));
+        match model {
+            FaultModel::TransientSm { sm, .. } | FaultModel::PermanentSm { sm, .. } => {
+                !self.busy(sm, from, to)
+            }
+            FaultModel::VoltageDroop { .. } => {
+                (0..self.per_sm.len()).all(|sm| !self.busy(sm, from, to))
+            }
+            FaultModel::SchedulerMisroute { .. } => false,
+        }
+    }
+}
+
+/// The synthesized [`TrialObservables`] of a trial decided without
+/// simulating it ([`trivially_not_activated`],
+/// [`BusyIntervals::proves_not_activated`]): the run ends at the fault-free
+/// makespan, nothing activated, nothing was cut, and — since no simulation
+/// ran — no snapshot restores were performed, so a checkpointed trial
+/// skipped this way reports 0 restores where its simulation would report
+/// some (checkpointed engines honestly report the replay work they
+/// *saved*).
 fn trivial_observables(model: FaultModel, fault_free_makespan: u64) -> TrialObservables {
     TrialObservables {
         end_cycle: fault_free_makespan,
@@ -837,10 +953,13 @@ impl CampaignRunner {
     /// paths keyed to `fault_free_makespan`, the makespan of the campaign's
     /// reference pass:
     ///
-    /// * a model that [`trivially_not_activated`] proves inert classifies
-    ///   [`TrialOutcome::NotActivated`] with synthesized observables and
-    ///   **no simulation at all** (no device reset, no replica runs, no
-    ///   replay);
+    /// * a model proved inert classifies [`TrialOutcome::NotActivated`]
+    ///   with synthesized observables and **no simulation at all** (no
+    ///   device reset, no replica runs, no replay). With a `reference`, the
+    ///   proof is the campaign engine's: the window misses every block of
+    ///   the reference pass's [`BusyIntervals`] on the targeted SMs
+    ///   ([`BusyIntervals::proves_not_activated`]). Without one, only the
+    ///   makespan-only [`trivially_not_activated`] applies;
     /// * a transient or droop model is simulated only until its window
     ///   closes ([`FaultModel::window_end`]). If nothing was corrupted by
     ///   then, the rest of the run is the fault-free reference, so the trial
@@ -849,9 +968,11 @@ impl CampaignRunner {
     ///   snapshot restores it performed before the cutoff.
     ///
     /// Both need a watchdog no tighter than the fault-free makespan, which
-    /// would otherwise cut the reference run itself. Outcome and observables
-    /// are bit-identical to the simulated trial of the same model;
-    /// [`CampaignRunner::perf`] counts only the work actually simulated.
+    /// would otherwise cut the reference run itself. Outcome, end cycle,
+    /// activation and deadline cut are bit-identical to the simulated trial
+    /// of the same model; a checkpointed trial skipped without simulating
+    /// reports 0 restores. [`CampaignRunner::perf`] counts only the work
+    /// actually simulated.
     ///
     /// # Errors
     ///
@@ -865,7 +986,11 @@ impl CampaignRunner {
         reference: Option<&ReferenceRun>,
         fault_free_makespan: u64,
     ) -> Result<(TrialOutcome, TrialObservables), RedundancyError> {
-        if trivially_not_activated(model, fault_free_makespan, deadline) {
+        let inert = match reference {
+            Some(r) => r.busy().proves_not_activated(model, deadline),
+            None => trivially_not_activated(model, fault_free_makespan, deadline),
+        };
+        if inert {
             return Ok((
                 TrialOutcome::NotActivated,
                 trivial_observables(model, fault_free_makespan),
@@ -1125,24 +1250,46 @@ fn run_campaign_engine(
     spec: FaultSpec,
     workload: &dyn RedundantWorkload,
 ) -> Result<(CampaignReport, CampaignPerf, CampaignTelemetry), RedundancyError> {
-    // A recorded reference's makespan equals the dry run's (checkpoint
-    // pauses are transparent), so both engines draw the same models.
+    // A recorded reference's trace equals the dry run's (checkpoint pauses
+    // are transparent), so both engines draw and skip the same models.
     let reference = cfg
         .checkpoint
         .map(|ck| record_reference(cfg, mode, workload, ck.stride))
         .transpose()?;
-    let window_end = match &reference {
-        Some(reference) => reference.makespan(),
-        None => dry_run_makespan(cfg, mode, workload)?,
+    let dry_run;
+    let busy = match &reference {
+        Some(reference) => reference.busy(),
+        None => {
+            dry_run = dry_run_busy(cfg, mode, workload)?;
+            &dry_run
+        }
     };
     let reference = reference.as_ref();
+    let window_end = busy.makespan();
     let deadline = Some(ftti_deadline(window_end, workload.ftti_multiplier()));
-    let models = distinct_models(&draw_models(cfg, spec, window_end));
+    let mut models = distinct_models(&draw_models(cfg, spec, window_end));
     let report = empty_report(cfg, mode, spec, workload, window_end);
+    // A model drawn n times adds its outcome, observables and simulated
+    // cost n times, exactly as n simulations of it would. Models the
+    // fault-free busy intervals prove inert are the fault-free run: they
+    // are counted here, at no simulated cost, and never reach a worker.
+    let mut counts = OutcomeCounts::default();
+    let mut telemetry = CampaignTelemetry::default();
+    models.retain(|&(model, drawn)| {
+        let idle = busy.proves_not_activated(model, deadline);
+        if idle {
+            for _ in 0..drawn {
+                counts.add(TrialOutcome::NotActivated);
+                telemetry.record(
+                    TrialOutcome::NotActivated,
+                    trivial_observables(model, window_end),
+                );
+            }
+        }
+        !idle
+    });
     // Each worker owns one reusable device and order-independent
-    // accumulators; summing them is the deterministic reduction. A model
-    // drawn n times adds its outcome, observables and simulated cost n
-    // times, exactly as n simulations of it would.
+    // accumulators; summing them is the deterministic reduction.
     let parts = run_pool(
         models.len(),
         cfg.resolved_workers(),
@@ -1170,9 +1317,7 @@ fn run_campaign_engine(
         },
         |(_, counts, telemetry, perf)| (counts, perf, telemetry),
     )?;
-    let mut counts = OutcomeCounts::default();
     let mut perf = CampaignPerf::default();
-    let mut telemetry = CampaignTelemetry::default();
     for (c, p, t) in parts {
         counts.merge(c);
         perf.merge(p);

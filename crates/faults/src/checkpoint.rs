@@ -30,7 +30,7 @@ use higpu_core::redundancy::{RedundancyError, RedundancyMode, RedundantExecutor,
 use higpu_sim::gpu::{DeviceSnapshot, Gpu, SimError};
 use higpu_telemetry::{EventKind, NO_SM};
 
-use crate::campaign::CampaignConfig;
+use crate::campaign::{BusyIntervals, CampaignConfig};
 use crate::model::FaultModel;
 use crate::workload::RedundantWorkload;
 
@@ -82,7 +82,7 @@ struct SegmentRef {
 #[derive(Debug, Clone)]
 pub struct ReferenceRun {
     segments: Vec<SegmentRef>,
-    makespan: u64,
+    busy: BusyIntervals,
 }
 
 impl ReferenceRun {
@@ -91,7 +91,14 @@ impl ReferenceRun {
     /// [`crate::campaign::dry_run_makespan`] bit-for-bit and campaigns use
     /// it in place of a separate dry run.
     pub fn makespan(&self) -> u64 {
-        self.makespan
+        self.busy.makespan()
+    }
+
+    /// The reference pass's per-SM busy intervals — equal to the dry
+    /// run's ([`crate::campaign::dry_run_busy`]), since pause points are
+    /// transparent.
+    pub fn busy(&self) -> &BusyIntervals {
+        &self.busy
     }
 
     /// Number of sync segments recorded.
@@ -182,11 +189,11 @@ pub fn record_reference(
     }));
     workload.run(&mut exec)?;
     drop(exec);
-    let makespan = gpu.trace().makespan().unwrap_or(0);
+    let busy = BusyIntervals::from_trace(gpu.trace());
     let segments = Rc::try_unwrap(out)
         .expect("recorder dropped with the executor")
         .into_inner();
-    Ok(ReferenceRun { segments, makespan })
+    Ok(ReferenceRun { segments, busy })
 }
 
 /// Replaying [`SyncHook`] of one fault trial: skips reference segments that

@@ -11,7 +11,9 @@
 //! * **equivalence** — every trial of Transient and Droop campaigns over
 //!   several Rodinia workloads, from zero and checkpointed, at N = 2 and 3,
 //!   ends with the same outcome and observables as
-//!   its full simulation, and at least one trial really exited early (it
+//!   its full simulation (a checkpointed trial whose window the reference
+//!   pass's busy intervals prove idle is skipped before simulating, so it
+//!   reports no restores), and at least one trial really exited early (it
 //!   simulated fewer cycles). The checkpointed trials also end exactly like
 //!   their from-zero twins, including on `srad` with every fault armed in
 //!   the last 1/16 of the run, where suffix replay skips the most;
@@ -132,7 +134,11 @@ fn exits_in_cell(
         assert_eq!(obs.activated, want.activated, "{at}: activation");
         assert_eq!(obs.deadline_cut, want.deadline_cut, "{at}: deadline cut");
         endings.push((outcome, obs.end_cycle, obs.activated, obs.deadline_cut));
-        if trivially_not_activated(model, makespan, deadline) {
+        if trivially_not_activated(model, makespan, deadline)
+            || reference
+                .as_ref()
+                .is_some_and(|r| r.busy().proves_not_activated(model, deadline))
+        {
             continue; // skipped before any simulation: not an exit
         }
         assert_eq!(
