@@ -16,7 +16,7 @@
 
 use higpu_bench::matrix::full_registry;
 use higpu_core::redundancy::{RedundancyError, RedundancyMode, RedundantExecutor};
-use higpu_faults::campaign::{run_campaign, CampaignConfig, FaultSpec};
+use higpu_faults::campaign::{run_campaign_with_perf, CampaignConfig, FaultSpec};
 use higpu_faults::workload::{CampaignWorkload, RedundantWorkload, WorkloadVerdict};
 use higpu_workloads::{Scale, DEFAULT_FTTI_MULTIPLIER, MINED_FTTI_MULTIPLIER};
 
@@ -90,7 +90,7 @@ fn mined_budgets_leave_detection_rates_unchanged() {
             FaultSpec::Transient { duration: 4000 },
             FaultSpec::Droop { duration: 4000 },
         ] {
-            let mined = run_campaign(
+            let mined = run_campaign_with_perf(
                 &cfg,
                 &mode,
                 spec,
@@ -99,8 +99,9 @@ fn mined_budgets_leave_detection_rates_unchanged() {
                     multiplier: MINED_FTTI_MULTIPLIER,
                 },
             )
-            .expect("mined-budget campaign");
-            let flat = run_campaign(
+            .expect("mined-budget campaign")
+            .0;
+            let flat = run_campaign_with_perf(
                 &cfg,
                 &mode,
                 spec,
@@ -109,7 +110,8 @@ fn mined_budgets_leave_detection_rates_unchanged() {
                     multiplier: DEFAULT_FTTI_MULTIPLIER,
                 },
             )
-            .expect("flat-budget campaign");
+            .expect("flat-budget campaign")
+            .0;
             assert_eq!(
                 mined, flat,
                 "{name}/{spec:?}: tightening the watchdog to the mined budget must not \

@@ -14,10 +14,13 @@
 //! the canary. Any disagreement reveals a scheduler (or trace) fault before
 //! it can become latent.
 
+use crate::policy::slice::healthy_slice;
+use crate::policy::srrs::srrs_healthy_target;
 use crate::redundancy::{RParam, RedundancyError, RedundancyMode, RedundantExecutor};
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::gpu::Gpu;
 use higpu_sim::isa::SpecialReg;
+use higpu_sim::kernel::SmSlice;
 use higpu_sim::program::Program;
 use std::sync::Arc;
 
@@ -81,9 +84,9 @@ pub fn scheduler_bist(
 ) -> Result<BistReport, RedundancyError> {
     let num_sms = gpu.config().num_sms;
     // The expected placement mandates exactly what the (quarantine-aware)
-    // policies do: SRRS rotates over the healthy SMs, SLICE carves its
-    // slices over the healthy index space. On a fully healthy device this
-    // is the classic whole-device mapping.
+    // scheduler does, by the scheduler's own rules: SRRS rotates over the
+    // healthy SMs, SLICE carves its slices over the healthy index space. On
+    // a fully healthy device this is the classic whole-device mapping.
     let healthy: Vec<usize> = (0..num_sms).filter(|&i| !gpu.is_quarantined(i)).collect();
     let mut exec = RedundantExecutor::new(gpu, mode.clone())?;
     let prog = canary_program();
@@ -121,23 +124,20 @@ pub fn scheduler_bist(
         for b in trace.blocks_of(k.id) {
             report.checked += 1;
             let expected = match &mode {
-                RedundancyMode::Srrs { start_sms } => {
-                    Some(crate::policy::srrs::srrs_healthy_target(
-                        &healthy,
-                        start_sms[r] % num_sms,
-                        b.block as usize,
-                    ))
-                }
+                RedundancyMode::Srrs { start_sms } => Some(srrs_healthy_target(
+                    &healthy,
+                    start_sms[r] % num_sms,
+                    b.block as usize,
+                )),
                 RedundancyMode::Half | RedundancyMode::Slice { .. } => {
-                    // Slices are carved over the healthy index space (see
-                    // `SliceScheduler`; HALF is two slices): the block's SM
-                    // must be a healthy SM whose healthy-index lies in the
-                    // replica's slice.
-                    let slice = higpu_sim::kernel::SmSlice {
+                    // The block's SM must be a healthy SM whose healthy
+                    // index lies in the replica's slice (HALF is two
+                    // slices).
+                    let slice = SmSlice {
                         index: tag.replica,
                         of: mode.replicas(),
                     };
-                    let range = slice.range(healthy.len());
+                    let range = healthy_slice(Some(slice), healthy.len());
                     match healthy.iter().position(|&sm| sm == b.sm) {
                         Some(hi) if range.contains(&hi) => None, // containment holds
                         _ => Some(

@@ -24,7 +24,7 @@
 //!    Unattributed evidence **never** quarantines — removing capacity on a
 //!    coin-flip would be a safety regression, not a recovery.
 
-use crate::policy::SrrsScheduler;
+use crate::policy::PartitionedScheduler;
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::gpu::{Gpu, SimError};
 use higpu_sim::isa::SpecialReg;
@@ -182,9 +182,10 @@ pub fn replica_placement(trace: &ExecutionTrace, group: u32, replica: u8) -> Vec
 /// The canary stores the executing SM's `SmId` register; on a permanently
 /// faulty SM the stored confession comes back corrupted, while a transient
 /// whose window has passed leaves the probe clean — this is what separates
-/// "re-execute" from "remove from service". The sweep installs the SRRS
-/// policy (for its pinned `start_sm` placement) and leaves it installed;
-/// callers that need a different policy must re-install it afterwards.
+/// "re-execute" from "remove from service". The sweep installs the
+/// diversity scheduler, whose SRRS rule pins each probe to its `start_sm`,
+/// and leaves it installed; callers that need a different policy must
+/// re-install it afterwards.
 /// Already-quarantined and out-of-range suspects are skipped (the rotation
 /// could not pin a canary to them).
 ///
@@ -194,7 +195,7 @@ pub fn replica_placement(trace: &ExecutionTrace, group: u32, replica: u8) -> Vec
 /// have a free word per probe).
 pub fn sm_bist_sweep(gpu: &mut Gpu, suspects: &[usize]) -> Result<Vec<usize>, SimError> {
     let num_sms = gpu.config().num_sms;
-    gpu.set_policy(Box::new(SrrsScheduler::new()))?;
+    gpu.set_policy(Box::new(PartitionedScheduler::new()))?;
 
     let mut b = KernelBuilder::new("sm_bist_probe");
     let out = b.param(0);

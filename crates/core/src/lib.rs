@@ -8,7 +8,10 @@
 //!   **SRRS** (start / round-robin / serial) and **HALF** (static SM
 //!   halving), which guarantee that redundant thread blocks execute on
 //!   different SMs at different times — defeating both permanent SM faults
-//!   and transient common-cause faults (voltage droops, crosstalk);
+//!   and transient common-cause faults (voltage droops, crosstalk). One
+//!   scheduler, [`policy::PartitionedScheduler`], applies both rules (and
+//!   SLICE, HALF's N-replica form) from the launch attributes, on the whole
+//!   device or inside reserved SM partitions;
 //! * [`redundancy`] — the five-step DCLS host protocol (allocate ×N,
 //!   copy ×N, launch ×N, collect ×N, compare/vote) generalized to
 //!   N-modular redundancy: SRRS start-SM vectors and SLICE SM slicing for
@@ -95,7 +98,7 @@ pub mod prelude {
     pub use crate::health::{minority_replicas, sm_bist_sweep, Evidence, HealthMonitor};
     pub use crate::hw_metrics::{FaultRates, HardwareMetrics};
     pub use crate::metrics::{redundant_kernel_cycles, solo_kernel_cycles};
-    pub use crate::policy::{PolicyKind, SliceScheduler, SrrsScheduler};
+    pub use crate::policy::{PartitionedScheduler, PolicyKind};
     pub use crate::redundancy::{
         Comparison, RBuf, RParam, RedundancyError, RedundancyMode, RedundantExecutor,
     };

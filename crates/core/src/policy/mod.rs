@@ -3,15 +3,21 @@
 //! Kernel classification (see [`crate::classify`]) happens at system analysis
 //! time; the most convenient policy is then selected per kernel before
 //! deployment (paper Sec. IV-D): SRRS for *short* and *heavy* kernels, HALF
-//! for *friendly* kernels. HALF runs on [`SliceScheduler`] as two slices.
+//! for *friendly* kernels.
+//!
+//! One scheduler, [`PartitionedScheduler`], runs every diversity policy.
+//! Its behaviour comes only from the launch attributes: a kernel group
+//! whose oldest kernel carries a `start_sm` follows the SRRS rule
+//! ([`srrs`]), any other group the SLICE rule ([`slice`]; HALF is two
+//! slices), on the whole device or inside a reserved SM partition
+//! ([`partitioned`]). The uncontrolled baseline is the simulator's
+//! [`DefaultScheduler`].
 
 pub mod partitioned;
 pub mod slice;
 pub mod srrs;
 
 pub use partitioned::PartitionedScheduler;
-pub use slice::SliceScheduler;
-pub use srrs::SrrsScheduler;
 
 use higpu_sim::scheduler::{DefaultScheduler, KernelSchedulerPolicy};
 
@@ -23,7 +29,7 @@ pub enum PolicyKind {
     Default,
     /// Start / Round-Robin / Serial.
     Srrs,
-    /// Static SM halving (run by the SLICE scheduler as two slices).
+    /// Static SM halving (SLICE with two slices).
     Half,
     /// Static N-way SM slicing (HALF generalized to N replicas).
     Slice,
@@ -34,7 +40,7 @@ pub enum PolicyKind {
     /// concurrent replicas — the fix for the `nw × droop` vulnerability of
     /// plain SLICE. The skew is applied at launch time (see
     /// [`crate::redundancy::RedundancyMode::slice_skewed_default`]);
-    /// the scheduler itself is the SLICE scheduler.
+    /// the placement is plain SLICE.
     SliceSkewed,
 }
 
@@ -43,9 +49,8 @@ impl PolicyKind {
     pub fn build(self) -> Box<dyn KernelSchedulerPolicy> {
         match self {
             PolicyKind::Default => Box::new(DefaultScheduler::new()),
-            PolicyKind::Srrs => Box::new(SrrsScheduler::new()),
-            PolicyKind::Half | PolicyKind::Slice | PolicyKind::SliceSkewed => {
-                Box::new(SliceScheduler::new())
+            PolicyKind::Srrs | PolicyKind::Half | PolicyKind::Slice | PolicyKind::SliceSkewed => {
+                Box::new(PartitionedScheduler::new())
             }
         }
     }
@@ -120,10 +125,14 @@ mod tests {
 
     #[test]
     fn build_produces_matching_names() {
+        // The launch attributes, not the scheduler, tell the diverse
+        // policies apart.
         assert_eq!(PolicyKind::Default.build().name(), "default");
-        assert_eq!(PolicyKind::Srrs.build().name(), "srrs");
-        assert_eq!(PolicyKind::Half.build().name(), "slice");
-        assert_eq!(PolicyKind::Slice.build().name(), "slice");
+        for p in PolicyKind::all_extended() {
+            if p.guarantees_diversity() {
+                assert_eq!(p.build().name(), "partitioned", "{p:?}");
+            }
+        }
     }
 
     #[test]
@@ -163,5 +172,62 @@ mod tests {
         );
         assert!(PolicyKind::all_extended().contains(&PolicyKind::Slice));
         assert!(PolicyKind::all_extended().contains(&PolicyKind::SliceSkewed));
+    }
+}
+
+/// Snapshot builders shared by the scheduler tests of this module's rules.
+#[cfg(test)]
+pub(crate) mod testing {
+    use higpu_sim::kernel::{BlockFootprint, KernelId, LaunchAttrs};
+    use higpu_sim::scheduler::{KernelSnapshot, SchedulerView, SmSnapshot};
+    use higpu_sim::sm::ResourceUsage;
+
+    /// A two-warp, 64-thread block.
+    fn fp() -> BlockFootprint {
+        BlockFootprint {
+            threads: 64,
+            warps: 2,
+            registers: 64,
+            shared_mem: 0,
+        }
+    }
+
+    /// `n` idle, healthy SMs with `block_slots` free block slots each.
+    pub(crate) fn sms(n: usize, block_slots: u32) -> Vec<SmSnapshot> {
+        let free = SmSnapshot {
+            free: ResourceUsage {
+                threads: 1536,
+                warps: 48,
+                registers: 32 * 1024,
+                shared_mem: 48 * 1024,
+                blocks: block_slots,
+            },
+            resident_blocks: 0,
+            quarantined: false,
+        };
+        vec![free; n]
+    }
+
+    /// A kernel not started yet, with `blocks` blocks of [`fp`].
+    pub(crate) fn kernel(id: u64, blocks: u32, attrs: LaunchAttrs) -> KernelSnapshot {
+        KernelSnapshot {
+            id: KernelId(id),
+            attrs: std::sync::Arc::new(attrs),
+            arrival: 0,
+            blocks_total: blocks,
+            blocks_issued: 0,
+            blocks_done: 0,
+            footprint: fp(),
+        }
+    }
+
+    /// A scheduling round over `kernels` and `sms` at cycle 0.
+    pub(crate) fn view(kernels: Vec<KernelSnapshot>, sms: Vec<SmSnapshot>) -> SchedulerView {
+        SchedulerView::new(0, kernels, sms)
+    }
+
+    /// The SMs the round assigned, in assignment order.
+    pub(crate) fn placed(view: &SchedulerView) -> Vec<usize> {
+        view.assignments().iter().map(|a| a.sm).collect()
     }
 }

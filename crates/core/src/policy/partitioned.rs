@@ -1,34 +1,37 @@
-//! The PARTITIONED kernel scheduling policy: the frame-level composition of
-//! the paper's diversity policies over **reserved SM partitions**.
+//! The one diversity scheduler: the paper's SRRS and SLICE/HALF placement
+//! rules, applied per SM partition.
 //!
-//! A concurrent frame executor runs independent DAG branches of one frame
-//! at the same time, each branch confined to a disjoint SM range it
-//! reserved ([`higpu_sim::partition::SmPartitionTable`]) and carried on
-//! every launch as the [`higpu_sim::kernel::LaunchAttrs::reserve`]
-//! attribute. Inside each reserve, the branch's replica-diversity scheme is
-//! re-applied *relative to the partition*:
+//! Kernels are grouped by their [`higpu_sim::kernel::LaunchAttrs::reserve`]
+//! attribute. A reserve is a disjoint SM range a concurrent frame executor
+//! claimed for one DAG branch ([`higpu_sim::partition::SmPartitionTable`]);
+//! kernels without one form the group of the whole device, which is simply
+//! the partition `[0, n)` (RTGPU's SM partition as the unit of GPU
+//! scheduling, PAPERS.md). Groups are served in the arrival order of their
+//! oldest kernel, and that kernel's attributes pick the group's scheme:
 //!
-//! * kernels carrying a `serialize_group` follow **SRRS scoped to the
-//!   reserve** — a kernel starts only when its partition is idle, blocks
-//!   round-robin from the (absolute) `start_sm` over the partition's SMs,
-//!   and kernels execute one at a time in arrival order *within the
-//!   partition* while sibling partitions run concurrently;
-//! * kernels carrying an [`higpu_sim::kernel::SmSlice`] are confined to
-//!   that **sub-slice of the reserve** ([`SmSlice::range_in`]), all
-//!   replicas concurrent — SLICE scoped to the partition;
-//! * kernels with neither hint fill their reserve breadth-first — the
-//!   uncontrolled baseline scoped to the partition.
+//! * with a `start_sm`, **SRRS scoped to the partition**
+//!   ([`super::srrs`]): a kernel starts only when its partition is idle,
+//!   its blocks round-robin from the start SM over the partition's SMs, and
+//!   the group's kernels execute one at a time in arrival order while
+//!   sibling partitions run concurrently;
+//! * otherwise, **slices of the partition** ([`super::slice`]): each kernel
+//!   fills its [`higpu_sim::kernel::SmSlice`] of the partition, or all of
+//!   it, breadth-first, every kernel concurrently. A kernel with no hint at
+//!   all is the uncontrolled baseline scoped to the partition.
 //!
-//! Kernels without a reserve (e.g. a scheduler self-test canary launched
-//! between frames) fall back to the same rules over the whole device, so
-//! the policy degenerates to SRRS/SLICE/default behaviour when nothing is
-//! partitioned.
+//! All kernels of one group come from one redundant executor or one branch
+//! attempt, so they share a scheme. Both rules place over the partition's
+//! SMs still in service: a frame executor's reserves never contain a
+//! quarantined SM (its partition table blocks them), so there the healthy
+//! index is the identity, while on the whole device SRRS rotates and the
+//! slices rebalance around dead hardware.
 
-use higpu_sim::partition::SmRange;
-use higpu_sim::scheduler::{KernelSchedulerPolicy, KernelSnapshot, SchedulerView};
+use higpu_sim::scheduler::{KernelSchedulerPolicy, SchedulerView, SmSnapshot};
+use std::ops::Range;
 
-/// The PARTITIONED policy (stateless across rounds; all scheduling facts
-/// are carried by the launch attributes).
+/// The diversity scheduler behind SRRS, HALF, SLICE and the frame
+/// executor's partitions. Stateless across rounds: all scheduling facts are
+/// carried by the launch attributes.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionedScheduler {
     _private: (),
@@ -41,25 +44,37 @@ impl PartitionedScheduler {
     }
 }
 
-/// The absolute SM range a kernel may use: its sub-slice of the reserve
-/// when both are present, the reserve itself, a global slice, or the whole
-/// device — clamped to the device's SM count.
-fn allowed_range(k: &KernelSnapshot, num_sms: usize) -> std::ops::Range<usize> {
-    let r = match (k.attrs.reserve, k.attrs.slice) {
-        (Some(reserve), Some(slice)) => slice.range_in(reserve),
-        (Some(reserve), None) => reserve.range(),
-        (None, Some(slice)) => slice.range(num_sms),
-        (None, None) => 0..num_sms,
-    };
-    r.start.min(num_sms)..r.end.min(num_sms)
+/// The SMs one kernel group schedules over, indexed densely over the ones
+/// still in service.
+#[derive(Debug)]
+pub(crate) struct Partition {
+    /// The group's absolute SM range (its reserve, clamped to the device,
+    /// or the whole device).
+    pub(crate) range: Range<usize>,
+    /// The range's in-service SMs, ascending. Materialized only once one of
+    /// them is quarantined: scheduling on a healthy device must not
+    /// allocate.
+    pub(crate) healthy: Option<Vec<usize>>,
 }
 
-/// True when no blocks are resident (or committed this round) on any SM of
-/// `range` — the partition-scoped SRRS idle-start condition.
-fn range_idle(view: &SchedulerView, range: &std::ops::Range<usize>) -> bool {
-    view.sms()[range.clone()]
-        .iter()
-        .all(|s| s.resident_blocks == 0)
+impl Partition {
+    fn new(sms: &[SmSnapshot], range: Range<usize>) -> Self {
+        let healthy = sms[range.clone()]
+            .iter()
+            .any(|s| s.quarantined)
+            .then(|| range.clone().filter(|&sm| !sms[sm].quarantined).collect());
+        Self { range, healthy }
+    }
+
+    /// Number of in-service SMs.
+    pub(crate) fn len(&self) -> usize {
+        self.healthy.as_ref().map_or(self.range.len(), Vec::len)
+    }
+
+    /// The `i`-th in-service SM.
+    pub(crate) fn sm(&self, i: usize) -> usize {
+        self.healthy.as_ref().map_or(self.range.start + i, |h| h[i])
+    }
 }
 
 impl KernelSchedulerPolicy for PartitionedScheduler {
@@ -69,118 +84,33 @@ impl KernelSchedulerPolicy for PartitionedScheduler {
 
     fn assign(&mut self, view: &mut SchedulerView) {
         let n = view.num_sms();
-        if n == 0 {
-            return;
-        }
-        // Distinct reserves, in first-kernel arrival order (`None` = the
-        // unreserved remainder, treated as one more partition).
-        let mut reserves: Vec<Option<SmRange>> = Vec::new();
-        for k in view.kernels() {
-            if !reserves.contains(&k.attrs.reserve) {
-                reserves.push(k.attrs.reserve);
-            }
-        }
-        for reserve in reserves {
-            assign_in_reserve(view, reserve, n);
-        }
-    }
-}
-
-fn assign_in_reserve(view: &mut SchedulerView, reserve: Option<SmRange>, n: usize) {
-    let base = match reserve {
-        Some(r) => r.range().start.min(n)..r.range().end.min(n),
-        None => 0..n,
-    };
-    if base.is_empty() {
-        return;
-    }
-    // The reserve's kernels, in arrival order. All kernels of one reserve
-    // come from one branch attempt, so they share a diversity scheme; the
-    // head kernel's attributes select it.
-    let ids: Vec<_> = view
-        .kernels()
-        .iter()
-        .filter(|k| k.attrs.reserve == reserve)
-        .map(|k| k.id)
-        .collect();
-    let Some(&head_id) = ids.first() else {
-        return;
-    };
-    let head = view
-        .kernels()
-        .iter()
-        .find(|k| k.id == head_id)
-        .expect("head id from this view");
-
-    if head.attrs.serialize_group.is_some() {
-        // SRRS scoped to the partition: head-of-line, idle-start, strict
-        // round-robin from the start SM over the partition's *healthy* SMs
-        // (reserved partitions exclude quarantined SMs by construction, but
-        // the whole-device fallback — e.g. an inter-frame BIST canary — must
-        // still place around dead hardware).
-        if head.blocks_issued == 0 && !range_idle(view, &base) {
-            return;
-        }
-        // Materialized only when something in the reserve is actually
-        // quarantined — steady-state frame scheduling stays allocation-free.
-        let healthy: Option<Vec<usize>> = if base.clone().any(|sm| view.sms()[sm].quarantined) {
-            let h: Vec<usize> = base
-                .clone()
-                .filter(|&sm| !view.sms()[sm].quarantined)
-                .collect();
-            if h.is_empty() {
-                return;
-            }
-            Some(h)
-        } else {
-            None
-        };
-        let h = healthy.as_ref().map_or(base.len(), |v| v.len());
-        let off = head
-            .attrs
-            .start_sm
-            .map(|s| match &healthy {
-                Some(v) if base.contains(&s) => crate::policy::srrs::healthy_start_pos(v, s),
-                None if base.contains(&s) => s - base.start,
-                _ => s % h,
-            })
-            .unwrap_or(0);
-        loop {
-            let Some(k) = view.kernels().iter().find(|k| k.id == head_id) else {
-                return;
+        // Assignment never reorders or removes kernels, so the view's list
+        // is indexed directly and no round copies ids or reserves.
+        for head in 0..view.kernels().len() {
+            let (reserve, start_sm) = {
+                let attrs = &view.kernels()[head].attrs;
+                (attrs.reserve, attrs.start_sm)
             };
-            if k.pending() == 0 {
-                return;
+            // Each group is served once, when its oldest kernel comes up.
+            if view.kernels()[..head]
+                .iter()
+                .any(|k| k.attrs.reserve == reserve)
+            {
+                continue;
             }
-            let i = k.blocks_issued as usize;
-            let sm = match &healthy {
-                Some(v) => v[(off + i) % h],
-                None => base.start + (off + i) % h,
-            };
-            if !view.try_assign(sm, head_id) {
-                return; // head-of-line: wait for the designated SM
+            let range = reserve.map_or(0..n, |r| r.start.min(n)..(r.start + r.len).min(n));
+            let part = Partition::new(view.sms(), range);
+            if part.len() == 0 {
+                continue; // nothing in service to place on: never spin
             }
-        }
-    } else {
-        // Concurrent (SLICE / uncontrolled) scoped to the partition: each
-        // kernel fills its allowed sub-range breadth-first.
-        for id in ids {
-            let allowed = {
-                let Some(k) = view.kernels().iter().find(|k| k.id == id) else {
-                    continue;
-                };
-                allowed_range(k, n)
-            };
-            if allowed.is_empty() {
-                continue; // unplaceable (over-sliced): never spin
-            }
-            loop {
-                let mut any = false;
-                for sm in allowed.clone() {
-                    any |= view.try_assign(sm, id);
-                }
-                if !any {
-                    break;
+            match start_sm {
+                Some(start) => super::srrs::dispatch(view, head, start, &part),
+                None => {
+                    for ki in head..view.kernels().len() {
+                        if view.kernels()[ki].attrs.reserve == reserve {
+                            super::slice::fill(view, ki, &part);
+                        }
+                    }
                 }
             }
         }
@@ -190,68 +120,41 @@ fn assign_in_reserve(view: &mut SchedulerView, reserve: Option<SmRange>, n: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use higpu_sim::kernel::{BlockFootprint, KernelId, LaunchAttrs, SmSlice};
-    use higpu_sim::scheduler::SmSnapshot;
-    use higpu_sim::sm::ResourceUsage;
-
-    fn fp() -> BlockFootprint {
-        BlockFootprint {
-            threads: 64,
-            warps: 2,
-            registers: 64,
-            shared_mem: 0,
-        }
-    }
-
-    fn sm_free() -> SmSnapshot {
-        SmSnapshot {
-            free: ResourceUsage {
-                threads: 1536,
-                warps: 48,
-                registers: 32 * 1024,
-                shared_mem: 48 * 1024,
-                blocks: 8,
-            },
-            resident_blocks: 0,
-            quarantined: false,
-        }
-    }
-
-    fn kernel(id: u64, blocks: u32, attrs: LaunchAttrs) -> KernelSnapshot {
-        KernelSnapshot {
-            id: KernelId(id),
-            attrs: std::sync::Arc::new(attrs),
-            arrival: 0,
-            blocks_total: blocks,
-            blocks_issued: 0,
-            blocks_done: 0,
-            footprint: fp(),
-        }
-    }
+    use crate::policy::testing::{kernel, placed, sms, view};
+    use higpu_sim::kernel::{KernelId, LaunchAttrs, SmSlice};
+    use higpu_sim::partition::SmRange;
 
     fn reserve(start: usize, len: usize) -> Option<SmRange> {
         Some(SmRange { start, len })
     }
 
+    /// An SRRS kernel confined to the reserve `[lo, lo + len)`.
+    fn srrs_in(start: usize, lo: usize, len: usize) -> LaunchAttrs {
+        LaunchAttrs {
+            reserve: reserve(lo, len),
+            start_sm: Some(start),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn srrs_in_partition_round_robins_within_the_reserve_only() {
-        let mut view = SchedulerView::new(
-            0,
-            vec![kernel(
-                0,
-                5,
-                LaunchAttrs {
-                    reserve: reserve(3, 3),
-                    start_sm: Some(4),
-                    serialize_group: Some(0),
-                    ..Default::default()
-                },
-            )],
-            (0..6).map(|_| sm_free()).collect(),
+        let mut v = view(vec![kernel(0, 5, srrs_in(4, 3, 3))], sms(6, 8));
+        PartitionedScheduler::new().assign(&mut v);
+        assert_eq!(
+            placed(&v),
+            vec![4, 5, 3, 4, 5],
+            "round-robin over SMs 3..6 only"
         );
-        PartitionedScheduler::new().assign(&mut view);
-        let sms: Vec<usize> = view.assignments().iter().map(|a| a.sm).collect();
-        assert_eq!(sms, vec![4, 5, 3, 4, 5], "round-robin over SMs 3..6 only");
+
+        // A start outside the reserve wraps into it.
+        let mut v = view(vec![kernel(0, 3, srrs_in(7, 3, 3))], sms(6, 8));
+        PartitionedScheduler::new().assign(&mut v);
+        assert_eq!(
+            placed(&v),
+            vec![4, 5, 3],
+            "start 7 is offset 7 % 3 of [3..6)"
+        );
     }
 
     #[test]
@@ -259,28 +162,22 @@ mod tests {
         // Partition [0..3) is busy with a resident block; partition [3..6)
         // is idle. The [3..6) kernel must start regardless of the sibling's
         // residency, while a second [3..6) kernel waits for the first.
-        let mut sms: Vec<SmSnapshot> = (0..6).map(|_| sm_free()).collect();
-        sms[1].resident_blocks = 1; // sibling branch's block
-        let srrs = |id, start| {
-            kernel(
-                id,
-                2,
-                LaunchAttrs {
-                    reserve: reserve(3, 3),
-                    start_sm: Some(start),
-                    serialize_group: Some(id as u32),
-                    ..Default::default()
-                },
-            )
-        };
-        let mut view = SchedulerView::new(0, vec![srrs(0, 3), srrs(1, 4)], sms);
-        PartitionedScheduler::new().assign(&mut view);
+        let mut s = sms(6, 8);
+        s[1].resident_blocks = 1; // sibling branch's block
+        let mut v = view(
+            vec![
+                kernel(0, 2, srrs_in(3, 3, 3)),
+                kernel(1, 2, srrs_in(4, 3, 3)),
+            ],
+            s,
+        );
+        PartitionedScheduler::new().assign(&mut v);
         assert!(
-            view.assignments().iter().all(|a| a.kernel == KernelId(0)),
+            v.assignments().iter().all(|a| a.kernel == KernelId(0)),
             "only the head kernel of the partition dispatches"
         );
-        assert_eq!(view.assignments().len(), 2, "head fully placed: {view:?}");
-        assert!(view.assignments().iter().all(|a| (3..6).contains(&a.sm)));
+        assert_eq!(v.assignments().len(), 2, "head fully placed: {v:?}");
+        assert!(v.assignments().iter().all(|a| (3..6).contains(&a.sm)));
     }
 
     #[test]
@@ -298,14 +195,10 @@ mod tests {
                 },
             )
         };
-        let mut view = SchedulerView::new(
-            0,
-            vec![sliced(0, 0), sliced(1, 1)],
-            (0..6).map(|_| sm_free()).collect(),
-        );
-        PartitionedScheduler::new().assign(&mut view);
-        assert_eq!(view.assignments().len(), 6, "both replicas fully placed");
-        for a in view.assignments() {
+        let mut v = view(vec![sliced(0, 0), sliced(1, 1)], sms(6, 8));
+        PartitionedScheduler::new().assign(&mut v);
+        assert_eq!(v.assignments().len(), 6, "both replicas fully placed");
+        for a in v.assignments() {
             if a.kernel == KernelId(0) {
                 assert_eq!(a.sm, 3, "sub-slice 0 of [3..6) is SM 3");
             } else {
@@ -316,30 +209,20 @@ mod tests {
 
     #[test]
     fn disjoint_partitions_dispatch_concurrently() {
-        let srrs = |id, start, lo, len| {
-            kernel(
-                id,
-                2,
-                LaunchAttrs {
-                    reserve: reserve(lo, len),
-                    start_sm: Some(start),
-                    serialize_group: Some(id as u32),
-                    ..Default::default()
-                },
-            )
-        };
-        let mut view = SchedulerView::new(
-            0,
-            vec![srrs(0, 0, 0, 3), srrs(1, 3, 3, 3)],
-            (0..6).map(|_| sm_free()).collect(),
+        let mut v = view(
+            vec![
+                kernel(0, 2, srrs_in(0, 0, 3)),
+                kernel(1, 2, srrs_in(3, 3, 3)),
+            ],
+            sms(6, 8),
         );
-        PartitionedScheduler::new().assign(&mut view);
+        PartitionedScheduler::new().assign(&mut v);
         assert_eq!(
-            view.assignments().len(),
+            v.assignments().len(),
             4,
             "both partitions' heads dispatch in the same round"
         );
-        for a in view.assignments() {
+        for a in v.assignments() {
             if a.kernel == KernelId(0) {
                 assert!(a.sm < 3);
             } else {
@@ -352,36 +235,27 @@ mod tests {
     fn whole_device_srrs_fallback_places_around_quarantined_sms() {
         // No reserve (the inter-frame BIST canary case) on a device with a
         // quarantined SM: the round-robin rotates over the healthy SMs.
-        let mut sms: Vec<SmSnapshot> = (0..6).map(|_| sm_free()).collect();
-        sms[2].quarantined = true;
-        let mut view = SchedulerView::new(
-            0,
-            vec![kernel(
-                0,
-                5,
-                LaunchAttrs {
-                    start_sm: Some(0),
-                    serialize_group: Some(0),
-                    ..Default::default()
-                },
-            )],
-            sms,
+        let mut s = sms(6, 8);
+        s[2].quarantined = true;
+        let attrs = LaunchAttrs {
+            start_sm: Some(0),
+            ..Default::default()
+        };
+        let mut v = view(vec![kernel(0, 5, attrs)], s);
+        PartitionedScheduler::new().assign(&mut v);
+        assert_eq!(
+            placed(&v),
+            vec![0, 1, 3, 4, 5],
+            "rotation skips the dead SM"
         );
-        PartitionedScheduler::new().assign(&mut view);
-        let placed: Vec<usize> = view.assignments().iter().map(|a| a.sm).collect();
-        assert_eq!(placed, vec![0, 1, 3, 4, 5], "rotation skips the dead SM");
     }
 
     #[test]
     fn unreserved_kernels_fall_back_to_whole_device_rules() {
-        let mut view = SchedulerView::new(
-            0,
-            vec![kernel(0, 6, LaunchAttrs::default())],
-            (0..6).map(|_| sm_free()).collect(),
-        );
-        PartitionedScheduler::new().assign(&mut view);
-        let mut sms: Vec<usize> = view.assignments().iter().map(|a| a.sm).collect();
-        sms.sort_unstable();
-        assert_eq!(sms, vec![0, 1, 2, 3, 4, 5]);
+        let mut v = view(vec![kernel(0, 6, LaunchAttrs::default())], sms(6, 8));
+        PartitionedScheduler::new().assign(&mut v);
+        let mut spread = placed(&v);
+        spread.sort_unstable();
+        assert_eq!(spread, vec![0, 1, 2, 3, 4, 5]);
     }
 }

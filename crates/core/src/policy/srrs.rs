@@ -1,4 +1,4 @@
-//! The SRRS (*Start, Round-Robin, Serial*) kernel scheduling policy
+//! The SRRS (*Start, Round-Robin, Serial*) kernel scheduling rule
 //! (paper Sec. IV-B1).
 //!
 //! SRRS enforces, by construction:
@@ -15,111 +15,72 @@
 //! executes on different SMs at disjoint times, so neither a permanent SM
 //! fault nor a transient common-cause fault (e.g. a voltage droop) can
 //! corrupt both copies identically.
+//!
+//! [`super::PartitionedScheduler`] applies this rule to every kernel group
+//! whose oldest kernel carries a `start_sm`, on the whole device or scoped
+//! to a reserved SM partition (idle-start and serialization then hold per
+//! partition).
 
-use higpu_sim::scheduler::{KernelSchedulerPolicy, SchedulerView, SmSnapshot};
-
-/// The SRRS policy. Stateless across rounds apart from the serialization
-/// order, which it derives from kernel arrival order.
-#[derive(Debug, Clone, Default)]
-pub struct SrrsScheduler {
-    /// Fallback start SM for kernels that do not carry a `start_sm` hint.
-    pub default_start_sm: usize,
-}
-
-impl SrrsScheduler {
-    /// Creates the policy with a default start SM of 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Ids of the SMs still in service (not quarantined), ascending.
-pub fn healthy_sms(sms: &[SmSnapshot]) -> Vec<usize> {
-    sms.iter()
-        .enumerate()
-        .filter(|(_, s)| !s.quarantined)
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Rotation offset of an SRRS start SM within the healthy-SM list: the
-/// index of `start` among `healthy`, or of the first healthy SM after it
-/// (wrapping to 0) when `start` itself is quarantined. Identity
-/// (`start` itself) on a fully healthy device.
-pub fn healthy_start_pos(healthy: &[usize], start: usize) -> usize {
-    healthy.iter().position(|&sm| sm >= start).unwrap_or(0)
-}
+use super::partitioned::Partition;
+use higpu_sim::scheduler::SchedulerView;
 
 /// The SM that receives block `i` of an SRRS kernel starting at `start`,
-/// round-robining over the healthy SMs only: the `(pos(start) + i) mod h`-th
-/// healthy SM. Degenerates to the classic `(start + i) mod n` on a fully
-/// healthy device. This single definition is shared by the SRRS scheduler,
-/// the partition-scoped SRRS path, and the scheduler BIST's expected
-/// placement — the self-test must mandate exactly what the policy does, or
-/// quarantine would turn every BIST round into a false alarm.
+/// round-robining over the `healthy` SMs (ascending) only: the
+/// `(pos(start) + i) mod h`-th healthy SM, where `pos(start)` is the index
+/// of `start` among them, or of the first healthy SM after it (wrapping to
+/// 0) when `start` itself is quarantined. Degenerates to the classic
+/// `(start + i) mod n` on a fully healthy device. This single definition
+/// is shared by the scheduler and the scheduler BIST's expected placement —
+/// the self-test must mandate exactly what the policy does, or quarantine
+/// would turn every BIST round into a false alarm.
 ///
 /// # Panics
 ///
 /// Panics when `healthy` is empty (nothing is placeable; callers gate on
 /// effective capacity first).
 pub fn srrs_healthy_target(healthy: &[usize], start: usize, i: usize) -> usize {
-    healthy[(healthy_start_pos(healthy, start) + i) % healthy.len()]
+    let pos = healthy.iter().position(|&sm| sm >= start).unwrap_or(0);
+    healthy[(pos + i) % healthy.len()]
 }
 
-impl KernelSchedulerPolicy for SrrsScheduler {
-    fn name(&self) -> &str {
-        "srrs"
+/// Dispatches the group headed by kernel `head` (an index into the view's
+/// kernels) under SRRS from `start` over `part`. A start outside the
+/// partition wraps into it (`start % n` on the whole device).
+pub(crate) fn dispatch(view: &mut SchedulerView, head: usize, start: usize, part: &Partition) {
+    let range = &part.range;
+    // Start condition: a kernel may only *begin* on an idle partition. Once
+    // it has started it owns the partition (no other kernel of the group can
+    // have resident blocks, by induction).
+    if view.kernels()[head].blocks_issued == 0
+        && view.sms()[range.clone()]
+            .iter()
+            .any(|s| s.resident_blocks > 0)
+    {
+        return;
     }
-
-    fn assign(&mut self, view: &mut SchedulerView) {
-        let n = view.num_sms();
-        if n == 0 {
+    let start = if range.contains(&start) {
+        start
+    } else {
+        range.start + start % range.len()
+    };
+    let id = view.kernels()[head].id;
+    // Strict in-order round-robin placement over the SMs still in service:
+    // block i → the (pos(start)+i)-th healthy SM (the classic rotation
+    // when nothing is quarantined). If the designated SM is full we wait
+    // (head-of-line), preserving the deterministic block→SM mapping the
+    // diversity argument relies on.
+    loop {
+        let k = &view.kernels()[head];
+        if k.pending() == 0 {
             return;
         }
-        // Serialization: only the oldest unfinished kernel may execute.
-        let Some(head) = view.kernels().first() else {
-            return;
+        let i = k.blocks_issued as usize;
+        let sm = match &part.healthy {
+            Some(h) => srrs_healthy_target(h, start, i),
+            None => range.start + (start - range.start + i) % range.len(),
         };
-        let head_id = head.id;
-        // Start condition: a kernel may only *begin* on an idle GPU. Once it
-        // has started it owns the GPU (no other kernel can have resident
-        // blocks, by induction).
-        if head.blocks_issued == 0 && !view.gpu_idle() {
+        if !view.try_assign(sm, id) {
             return;
-        }
-        let start = head.attrs.start_sm.unwrap_or(self.default_start_sm) % n;
-        // Strict in-order round-robin placement over the SMs still in
-        // service: block i → the (pos(start)+i)-th healthy SM (the classic
-        // (start+i) % n when nothing is quarantined). If the designated SM
-        // is full we wait (head-of-line), preserving the deterministic
-        // block→SM mapping the diversity argument relies on.
-        // The healthy-SM list is only materialized once an SM has actually
-        // been quarantined: steady-state scheduling on a healthy device must
-        // stay allocation-free (the session-launch allocation fence counts).
-        let healthy = if view.sms().iter().any(|s| s.quarantined) {
-            let h = healthy_sms(view.sms());
-            if h.is_empty() {
-                return;
-            }
-            Some(h)
-        } else {
-            None
-        };
-        loop {
-            let Some(k) = view.kernels().iter().find(|k| k.id == head_id) else {
-                return;
-            };
-            if k.pending() == 0 {
-                return;
-            }
-            let i = k.blocks_issued as usize;
-            let sm = match &healthy {
-                Some(h) => srrs_healthy_target(h, start, i),
-                None => (start + i) % n,
-            };
-            if !view.try_assign(sm, head_id) {
-                return;
-            }
         }
     }
 }
@@ -127,106 +88,72 @@ impl KernelSchedulerPolicy for SrrsScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use higpu_sim::kernel::{BlockFootprint, KernelId, LaunchAttrs};
-    use higpu_sim::scheduler::{KernelSnapshot, SmSnapshot};
-    use higpu_sim::sm::ResourceUsage;
+    use crate::policy::testing::{kernel, placed, sms, view};
+    use crate::policy::PartitionedScheduler;
+    use higpu_sim::kernel::{KernelId, LaunchAttrs};
+    use higpu_sim::scheduler::{KernelSchedulerPolicy, KernelSnapshot};
 
-    fn fp() -> BlockFootprint {
-        BlockFootprint {
-            threads: 64,
-            warps: 2,
-            registers: 64,
-            shared_mem: 0,
-        }
-    }
-
-    fn sm_free() -> SmSnapshot {
-        SmSnapshot {
-            free: ResourceUsage {
-                threads: 1536,
-                warps: 48,
-                registers: 32 * 1024,
-                shared_mem: 48 * 1024,
-                blocks: 8,
-            },
-            resident_blocks: 0,
-            quarantined: false,
-        }
-    }
-
-    fn kernel(id: u64, blocks: u32, start_sm: Option<usize>) -> KernelSnapshot {
-        KernelSnapshot {
-            id: KernelId(id),
-            attrs: std::sync::Arc::new(LaunchAttrs {
-                start_sm,
-                ..Default::default()
-            }),
-            arrival: 0,
-            blocks_total: blocks,
-            blocks_issued: 0,
-            blocks_done: 0,
-            footprint: fp(),
-        }
+    /// A whole-device SRRS kernel starting at `start`.
+    fn srrs(id: u64, blocks: u32, start: usize) -> KernelSnapshot {
+        let attrs = LaunchAttrs {
+            start_sm: Some(start),
+            ..Default::default()
+        };
+        kernel(id, blocks, attrs)
     }
 
     #[test]
     fn blocks_follow_round_robin_from_start_sm() {
-        let mut view = SchedulerView::new(
-            0,
-            vec![kernel(0, 8, Some(2))],
-            (0..6).map(|_| sm_free()).collect(),
-        );
-        SrrsScheduler::new().assign(&mut view);
-        let sms: Vec<usize> = view.assignments().iter().map(|a| a.sm).collect();
-        assert_eq!(sms, vec![2, 3, 4, 5, 0, 1, 2, 3]);
+        let mut v = view(vec![srrs(0, 8, 2)], sms(6, 8));
+        PartitionedScheduler::new().assign(&mut v);
+        assert_eq!(placed(&v), vec![2, 3, 4, 5, 0, 1, 2, 3]);
+
+        // A start SM beyond the device wraps: start % n.
+        let mut v = view(vec![srrs(0, 3, 11)], sms(6, 8));
+        PartitionedScheduler::new().assign(&mut v);
+        assert_eq!(placed(&v), vec![5, 0, 1]);
     }
 
     #[test]
     fn second_kernel_waits_for_first() {
-        let mut view = SchedulerView::new(
-            0,
-            vec![kernel(0, 2, Some(0)), kernel(1, 2, Some(3))],
-            (0..6).map(|_| sm_free()).collect(),
-        );
-        SrrsScheduler::new().assign(&mut view);
+        let mut v = view(vec![srrs(0, 2, 0), srrs(1, 2, 3)], sms(6, 8));
+        PartitionedScheduler::new().assign(&mut v);
         assert!(
-            view.assignments().iter().all(|a| a.kernel == KernelId(0)),
+            v.assignments().iter().all(|a| a.kernel == KernelId(0)),
             "only the head kernel is dispatched"
         );
-        assert_eq!(view.assignments().len(), 2);
+        assert_eq!(v.assignments().len(), 2);
     }
 
     #[test]
     fn kernel_does_not_start_on_busy_gpu() {
-        let mut sms: Vec<SmSnapshot> = (0..6).map(|_| sm_free()).collect();
-        sms[4].resident_blocks = 1; // someone else's block still resident
-        let mut view = SchedulerView::new(0, vec![kernel(0, 2, Some(0))], sms);
-        SrrsScheduler::new().assign(&mut view);
-        assert!(view.assignments().is_empty(), "idle-start condition");
+        let mut s = sms(6, 8);
+        s[4].resident_blocks = 1; // someone else's block still resident
+        let mut v = view(vec![srrs(0, 2, 0)], s);
+        PartitionedScheduler::new().assign(&mut v);
+        assert!(v.assignments().is_empty(), "idle-start condition");
     }
 
     #[test]
     fn started_kernel_keeps_dispatching_even_while_gpu_busy() {
-        let mut k = kernel(0, 4, Some(0));
+        let mut k = srrs(0, 4, 0);
         k.blocks_issued = 2; // already started: blocks 0,1 are resident
-        let mut sms: Vec<SmSnapshot> = (0..6).map(|_| sm_free()).collect();
-        sms[0].resident_blocks = 1;
-        sms[1].resident_blocks = 1;
-        let mut view = SchedulerView::new(0, vec![k], sms);
-        SrrsScheduler::new().assign(&mut view);
-        let sms: Vec<usize> = view.assignments().iter().map(|a| a.sm).collect();
-        assert_eq!(sms, vec![2, 3], "continues the round-robin sequence");
+        let mut s = sms(6, 8);
+        s[0].resident_blocks = 1;
+        s[1].resident_blocks = 1;
+        let mut v = view(vec![k], s);
+        PartitionedScheduler::new().assign(&mut v);
+        assert_eq!(placed(&v), vec![2, 3], "continues the round-robin sequence");
     }
 
     #[test]
     fn head_of_line_blocks_when_target_sm_full() {
-        let mut sms: Vec<SmSnapshot> = (0..6).map(|_| sm_free()).collect();
-        sms[1].free.blocks = 0; // SM1 has no block slot
-        let mut view = SchedulerView::new(0, vec![kernel(0, 6, Some(0))], sms);
-        SrrsScheduler::new().assign(&mut view);
-        let sms: Vec<usize> = view.assignments().iter().map(|a| a.sm).collect();
+        let mut s = sms(6, 8);
+        s[1].free.blocks = 0; // SM1 has no block slot
+        let mut v = view(vec![srrs(0, 6, 0)], s);
+        PartitionedScheduler::new().assign(&mut v);
         assert_eq!(
-            sms,
+            placed(&v),
             vec![0],
             "block 1 must go to SM1; placement stalls rather than reorder"
         );
@@ -234,25 +161,23 @@ mod tests {
 
     #[test]
     fn round_robin_skips_quarantined_sms() {
-        let mut sms: Vec<SmSnapshot> = (0..6).map(|_| sm_free()).collect();
-        sms[3].quarantined = true;
-        let mut view = SchedulerView::new(0, vec![kernel(0, 8, Some(2))], sms);
-        SrrsScheduler::new().assign(&mut view);
-        let placed: Vec<usize> = view.assignments().iter().map(|a| a.sm).collect();
+        let mut s = sms(6, 8);
+        s[3].quarantined = true;
+        let mut v = view(vec![srrs(0, 8, 2)], s);
+        PartitionedScheduler::new().assign(&mut v);
         // Healthy rotation [0,1,2,4,5] from SM 2: 2,4,5,0,1,2,4,5.
-        assert_eq!(placed, vec![2, 4, 5, 0, 1, 2, 4, 5]);
-        assert!(!placed.contains(&3), "no block on the quarantined SM");
+        assert_eq!(placed(&v), vec![2, 4, 5, 0, 1, 2, 4, 5]);
+        assert!(!placed(&v).contains(&3), "no block on the quarantined SM");
     }
 
     #[test]
     fn quarantined_start_sm_falls_through_to_next_healthy() {
-        let mut sms: Vec<SmSnapshot> = (0..6).map(|_| sm_free()).collect();
-        sms[2].quarantined = true;
-        let mut view = SchedulerView::new(0, vec![kernel(0, 5, Some(2))], sms);
-        SrrsScheduler::new().assign(&mut view);
-        let placed: Vec<usize> = view.assignments().iter().map(|a| a.sm).collect();
+        let mut s = sms(6, 8);
+        s[2].quarantined = true;
+        let mut v = view(vec![srrs(0, 5, 2)], s);
+        PartitionedScheduler::new().assign(&mut v);
         // Healthy [0,1,3,4,5]; start 2 resolves to SM 3.
-        assert_eq!(placed, vec![3, 4, 5, 0, 1]);
+        assert_eq!(placed(&v), vec![3, 4, 5, 0, 1]);
     }
 
     #[test]
@@ -263,20 +188,5 @@ mod tests {
                 assert_eq!(srrs_healthy_target(&healthy, start, i), (start + i) % 6);
             }
         }
-    }
-
-    #[test]
-    fn default_start_sm_applies_without_hint() {
-        let mut view = SchedulerView::new(
-            0,
-            vec![kernel(0, 3, None)],
-            (0..6).map(|_| sm_free()).collect(),
-        );
-        let mut pol = SrrsScheduler {
-            default_start_sm: 5,
-        };
-        pol.assign(&mut view);
-        let sms: Vec<usize> = view.assignments().iter().map(|a| a.sm).collect();
-        assert_eq!(sms, vec![5, 0, 1]);
     }
 }

@@ -619,8 +619,7 @@ impl<'g> RedundantExecutor<'g> {
             self.param_scratch = scratch;
             let mut launch = KernelLaunch::new(program.clone(), cfg)
                 .tag(format!("{}#g{}r{}", program.name(), group, r))
-                .redundant(group, r as u8)
-                .serialize_group(group);
+                .redundant(group, r as u8);
             match &self.mode {
                 RedundancyMode::Uncontrolled { .. } => {}
                 RedundancyMode::Srrs { start_sms } => {

@@ -16,9 +16,9 @@
 //!   rewind + dirty-prefix zeroing) instead of reconstructing a multi-MB
 //!   zeroed memory image per trial.
 //! * **Deterministic reduction** — per-trial outcomes are order-independent
-//!   counts, so the parallel [`run_campaign`] produces a [`CampaignReport`]
-//!   bit-identical to [`run_campaign_serial`] for the same seed, at every
-//!   worker count (enforced by tests).
+//!   counts, so the parallel [`run_campaign_with_perf`] produces a
+//!   [`CampaignReport`] bit-identical to [`run_campaign_serial`] for the
+//!   same seed, at every worker count (enforced by tests).
 //! * **One simulation per distinct model** — equal models are equal trials,
 //!   so the pool simulates each distinct drawn model once and counts it as
 //!   often as it was drawn (a misroute cell draws from only `num_sms - 1`
@@ -139,9 +139,9 @@ pub struct CampaignConfig {
     /// GPU configuration (memory is the dominant per-trial cost; campaigns
     /// default to a small device image).
     pub gpu: GpuConfig,
-    /// Worker threads for [`run_campaign`]. `0` (the default) resolves to
-    /// the `HIGPU_WORKERS` environment variable if set, else to the number
-    /// of available CPUs. Has no effect on the campaign's results — only on
+    /// Worker threads for the pool engine ([`run_campaign_with_perf`]). `0`
+    /// (the default) resolves to the `HIGPU_WORKERS` environment variable
+    /// if set, else to the number of available CPUs. Has no effect on the campaign's results — only on
     /// its wall-clock time.
     pub workers: usize,
     /// Checkpointed suffix-only replay (see [`crate::checkpoint`]) for the
@@ -513,8 +513,9 @@ pub fn ftti_deadline(fault_free_makespan: u64, ftti_multiplier: u64) -> u64 {
 /// self-test), so they always simulate.
 ///
 /// Campaign draws arm in `0..makespan`, so this makespan-only check skips
-/// no drawn model; it is kept for the serial oracle, which must not share
-/// the pool engine's shortcut. The pool engine proves far more trials
+/// no drawn model; a trial run without busy intervals
+/// ([`CampaignRunner::run_trial_observed_with_makespan`] without a
+/// reference) falls back to it. The pool engine proves far more trials
 /// inert from the fault-free pass's per-SM [`BusyIntervals`]
 /// ([`BusyIntervals::proves_not_activated`], which implies this check),
 /// and a window that closes before the makespan without corrupting
@@ -1189,10 +1190,6 @@ pub fn run_campaign_serial(
     let models = draw_models(cfg, spec, window_end);
     let mut counts = OutcomeCounts::default();
     for model in models {
-        if trivially_not_activated(model, window_end, deadline) {
-            counts.add(TrialOutcome::NotActivated);
-            continue;
-        }
         let (outcome, _) =
             CampaignRunner::new(cfg).run_trial_observed(mode, workload, model, deadline, None)?;
         counts.add(outcome);
@@ -1326,48 +1323,17 @@ fn run_campaign_engine(
     Ok((finish_report(report, counts), perf, telemetry))
 }
 
-/// Runs a full campaign: `cfg.trials` randomized injections of `spec` into
-/// `workload` under `mode`, parallelized over
-/// [`CampaignConfig::resolved_workers`] threads. See
-/// [`run_campaign_with_perf`] for the engine's determinism contract.
-///
-/// # Errors
-///
-/// Propagates workload/protocol errors from any trial.
-pub fn run_campaign(
-    cfg: &CampaignConfig,
-    mode: &RedundancyMode,
-    spec: FaultSpec,
-    workload: &dyn RedundantWorkload,
-) -> Result<CampaignReport, RedundancyError> {
-    run_campaign_with_perf(cfg, mode, spec, workload).map(|(report, _)| report)
-}
-
 /// Runs a campaign described by a [`CampaignSpec`], resolving the workload
 /// from `reg`: any registered workload, in redundant mode, under any
-/// scheduler policy. Parallelized (see [`run_campaign_with_perf`] for the
-/// determinism contract).
+/// scheduler policy, on the pool engine (see [`run_campaign_with_perf`] for
+/// the determinism contract). Returns the report with the campaign's
+/// [`CampaignTelemetry`] (cycle-domain distributions the report's outcome
+/// counts cannot express).
 ///
 /// # Errors
 ///
 /// [`CampaignError::UnknownWorkload`] for unregistered names; otherwise
 /// propagates workload/protocol errors from any trial.
-pub fn run_campaign_selected(
-    cfg: &CampaignConfig,
-    reg: &WorkloadRegistry,
-    spec: &CampaignSpec,
-) -> Result<CampaignReport, CampaignError> {
-    let workload = spec.build_workload(reg)?;
-    let mode = spec.mode(cfg.gpu.num_sms)?;
-    Ok(run_campaign(cfg, &mode, spec.fault, &workload)?)
-}
-
-/// [`run_campaign_selected`] plus the campaign's [`CampaignTelemetry`]
-/// (cycle-domain distributions the report's outcome counts cannot express).
-///
-/// # Errors
-///
-/// As [`run_campaign_selected`].
 pub fn run_campaign_selected_with_telemetry(
     cfg: &CampaignConfig,
     reg: &WorkloadRegistry,
@@ -1379,10 +1345,10 @@ pub fn run_campaign_selected_with_telemetry(
     Ok((report, telemetry))
 }
 
-/// Serial reference form of [`run_campaign_selected`] (one fresh device per
-/// trial, trials in draw order, every trial from cycle 0 whatever
-/// `cfg.checkpoint` says; see [`run_campaign_serial`]) — the oracle the
-/// parallel engine is checked against.
+/// Serial reference form of [`run_campaign_selected_with_telemetry`] (one
+/// fresh device per trial, trials in draw order, every trial from cycle 0
+/// whatever `cfg.checkpoint` says; see [`run_campaign_serial`]) — the
+/// oracle the parallel engine is checked against.
 ///
 /// # Errors
 ///
@@ -1423,8 +1389,9 @@ mod tests {
     fn permanent_fault_never_defeats_srrs() {
         let cfg = small_cfg(12);
         let mode = RedundancyMode::srrs_default(6);
-        let r =
-            run_campaign(&cfg, &mode, FaultSpec::Permanent, &small_workload()).expect("campaign");
+        let r = run_campaign_with_perf(&cfg, &mode, FaultSpec::Permanent, &small_workload())
+            .expect("campaign")
+            .0;
         assert_eq!(r.undetected, 0, "spatial diversity defeats stuck-at: {r:?}");
         assert!(r.detected > 0, "permanent faults must strike: {r:?}");
     }
@@ -1435,8 +1402,9 @@ mod tests {
         // same SM → identical corruption → undetected failures.
         let cfg = small_cfg(12);
         let mode = RedundancyMode::uncontrolled();
-        let r =
-            run_campaign(&cfg, &mode, FaultSpec::Permanent, &small_workload()).expect("campaign");
+        let r = run_campaign_with_perf(&cfg, &mode, FaultSpec::Permanent, &small_workload())
+            .expect("campaign")
+            .0;
         assert!(
             r.undetected > 0,
             "uncontrolled redundancy must show undetected failures: {r:?}"
@@ -1447,13 +1415,14 @@ mod tests {
     fn droop_never_defeats_srrs() {
         let cfg = small_cfg(12);
         let mode = RedundancyMode::srrs_default(6);
-        let r = run_campaign(
+        let r = run_campaign_with_perf(
             &cfg,
             &mode,
             FaultSpec::Droop { duration: 500 },
             &small_workload(),
         )
-        .expect("campaign");
+        .expect("campaign")
+        .0;
         assert_eq!(r.undetected, 0, "temporal diversity defeats droops: {r:?}");
     }
 
@@ -1461,8 +1430,9 @@ mod tests {
     fn misroute_is_detected_by_bist_under_srrs() {
         let cfg = small_cfg(3);
         let mode = RedundancyMode::srrs_default(6);
-        let r =
-            run_campaign(&cfg, &mode, FaultSpec::Misroute, &small_workload()).expect("campaign");
+        let r = run_campaign_with_perf(&cfg, &mode, FaultSpec::Misroute, &small_workload())
+            .expect("campaign")
+            .0;
         assert_eq!(r.detected, 3, "every misroute caught: {r:?}");
         assert_eq!(r.undetected, 0);
     }
@@ -1484,8 +1454,9 @@ mod tests {
         );
         for workers in [1usize, 2, 8] {
             cfg.workers = workers;
-            let parallel = run_campaign(&cfg, &mode, spec, &small_workload())
-                .unwrap_or_else(|e| panic!("parallel at {workers} workers: {e}"));
+            let parallel = run_campaign_with_perf(&cfg, &mode, spec, &small_workload())
+                .unwrap_or_else(|e| panic!("parallel at {workers} workers: {e}"))
+                .0;
             assert_eq!(
                 parallel, serial,
                 "report must not depend on workers={workers}"
@@ -1806,8 +1777,9 @@ mod tests {
 
         let tight = crate::workload::CampaignWorkload::new(Box::new(TightFtti(inner.clone())));
         assert_eq!(RedundantWorkload::ftti_multiplier(&tight), 0);
-        let r = run_campaign(&cfg, &mode, FaultSpec::Transient { duration: 1 }, &tight)
-            .expect("campaign");
+        let r = run_campaign_with_perf(&cfg, &mode, FaultSpec::Transient { duration: 1 }, &tight)
+            .expect("campaign")
+            .0;
         assert_eq!(
             r.detected, r.trials,
             "every trial blows the tight FTTI deadline: {r:?}"
@@ -1816,8 +1788,9 @@ mod tests {
 
         // The same workload under the default budget completes normally.
         let relaxed = crate::workload::CampaignWorkload::new(Box::new(inner));
-        let r = run_campaign(&cfg, &mode, FaultSpec::Transient { duration: 1 }, &relaxed)
-            .expect("campaign");
+        let r = run_campaign_with_perf(&cfg, &mode, FaultSpec::Transient { duration: 1 }, &relaxed)
+            .expect("campaign")
+            .0;
         assert!(
             r.detected < r.trials,
             "default budget leaves fault-free-window trials unharmed: {r:?}"
@@ -1947,7 +1920,9 @@ mod tests {
         let cfg = small_cfg(6);
         let spec = CampaignSpec::new("iterated_fma", PolicyKind::Srrs, FaultSpec::Permanent);
         let serial = run_campaign_selected_serial(&cfg, &reg, &spec).expect("serial");
-        let parallel = run_campaign_selected(&cfg, &reg, &spec).expect("parallel");
+        let parallel = run_campaign_selected_with_telemetry(&cfg, &reg, &spec)
+            .expect("parallel")
+            .0;
         assert_eq!(parallel, serial, "selected engines agree bit-for-bit");
         assert_eq!(parallel.workload, "iterated_fma");
         assert_eq!(parallel.policy, "SRRS");
@@ -1955,7 +1930,7 @@ mod tests {
 
         let unknown = CampaignSpec::new("no_such", PolicyKind::Half, FaultSpec::Permanent);
         assert_eq!(
-            run_campaign_selected(&cfg, &reg, &unknown).expect_err("unknown"),
+            run_campaign_selected_with_telemetry(&cfg, &reg, &unknown).expect_err("unknown"),
             CampaignError::UnknownWorkload("no_such".into())
         );
     }
@@ -2018,8 +1993,12 @@ mod tests {
         let cfg = small_cfg(12);
         let wl = small_workload();
         let spec = FaultSpec::Permanent;
-        let dcls = run_campaign(&cfg, &RedundancyMode::srrs_default(6), spec, &wl).expect("dcls");
-        let tmr = run_campaign(&cfg, &RedundancyMode::srrs_spread(6, 3), spec, &wl).expect("tmr");
+        let dcls = run_campaign_with_perf(&cfg, &RedundancyMode::srrs_default(6), spec, &wl)
+            .expect("dcls")
+            .0;
+        let tmr = run_campaign_with_perf(&cfg, &RedundancyMode::srrs_spread(6, 3), spec, &wl)
+            .expect("tmr")
+            .0;
         assert_eq!(dcls.corrected, 0, "2 replicas can never outvote: {dcls:?}");
         assert_eq!(dcls.replicas, 2);
         assert_eq!(tmr.replicas, 3);

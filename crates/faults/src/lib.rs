@@ -13,7 +13,8 @@
 //! * [`workload`] — adapters running any `higpu_workloads::Workload` (every
 //!   Rodinia benchmark included) redundantly under injection;
 //! * [`campaign`] — randomized multi-trial injection with per-policy
-//!   detection-coverage reports; [`campaign::run_campaign_selected`]
+//!   detection-coverage reports;
+//!   [`campaign::run_campaign_selected_with_telemetry`]
 //!   resolves {workload × policy × fault} from the workload registry;
 //! * [`checkpoint`] — checkpointed trials: one fault-free reference pass
 //!   records periodic device snapshots, each trial restores the snapshot
@@ -24,7 +25,7 @@
 //!
 //! ```
 //! use higpu_core::redundancy::RedundancyMode;
-//! use higpu_faults::campaign::{run_campaign, CampaignConfig, FaultSpec};
+//! use higpu_faults::campaign::{run_campaign_with_perf, CampaignConfig, FaultSpec};
 //! use higpu_faults::workload::IteratedFma;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,7 +38,7 @@
 //!     threads_per_block: 64,
 //!     iters: 8,
 //! };
-//! let report = run_campaign(
+//! let (report, _perf) = run_campaign_with_perf(
 //!     &cfg,
 //!     &RedundancyMode::srrs_default(6),
 //!     FaultSpec::Permanent,
@@ -60,7 +61,7 @@ pub mod workload;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::campaign::{
-        draw_models, run_campaign, run_campaign_selected, run_campaign_selected_serial,
+        draw_models, run_campaign_selected_serial, run_campaign_selected_with_telemetry,
         run_campaign_serial, run_campaign_with_perf, CampaignConfig, CampaignError, CampaignPerf,
         CampaignReport, CampaignRunner, CampaignSpec, FaultSpec, TrialOutcome,
     };

@@ -627,21 +627,16 @@ fn classify_limp(
     if !activated {
         return PipelineTrialOutcome::NotActivated;
     }
-    // Oracle: every completed frame's every stage output must verify
-    // against the CPU reference over the data that actually flowed — a
-    // degraded frame is held to the same bar as a nominal one.
-    for f in rep.frames.iter().filter(|f| f.completed()) {
-        let run = f.run.as_ref().expect("a completed frame has a run");
-        for (s, stage) in pipeline.stages().iter().enumerate() {
-            let inputs: Vec<&[u32]> = stage
-                .deps
-                .iter()
-                .map(|&d| run.outputs[d].as_slice())
-                .collect();
-            if stage.program.verify(&run.outputs[s], &inputs).is_err() {
-                return PipelineTrialOutcome::UndetectedFailure;
-            }
-        }
+    // Oracle: every completed frame is held to the same bar as a single
+    // frame — a degraded frame as much as a nominal one.
+    let mut completed = rep.frames.iter().filter(|f| f.completed());
+    if !completed.all(|f| {
+        outputs_verify(
+            pipeline,
+            f.run.as_ref().expect("a completed frame has a run"),
+        )
+    }) {
+        return PipelineTrialOutcome::UndetectedFailure;
     }
     if rep.diagnosis_frame.is_some() {
         return if rep.limp_home_ok() {
@@ -665,6 +660,21 @@ fn classify_limp(
     } else {
         PipelineTrialOutcome::Masked
     }
+}
+
+/// The campaign's oracle: every delivered stage output of `run` verifies
+/// against the CPU reference recomputed over its *actual* (voted) inputs.
+/// A corrupted value the voter accepted anywhere in the dataflow fails
+/// here.
+fn outputs_verify(pipeline: &Pipeline, run: &PipelineRun) -> bool {
+    pipeline.stages().iter().enumerate().all(|(s, stage)| {
+        let inputs: Vec<&[u32]> = stage
+            .deps
+            .iter()
+            .map(|&d| run.outputs[d].as_slice())
+            .collect();
+        stage.program.verify(&run.outputs[s], &inputs).is_ok()
+    })
 }
 
 /// Classifies a completed frame from the deployed mechanism's observables
@@ -693,18 +703,8 @@ fn classify(
             PipelineTrialOutcome::UndetectedFailure
         };
     }
-    // Oracle: every delivered stage output must verify against the CPU
-    // reference recomputed over its *actual* (voted) inputs. A corrupted
-    // value the voter accepted anywhere in the dataflow fails here.
-    for (s, stage) in pipeline.stages().iter().enumerate() {
-        let inputs: Vec<&[u32]> = stage
-            .deps
-            .iter()
-            .map(|&d| run.outputs[d].as_slice())
-            .collect();
-        if stage.program.verify(&run.outputs[s], &inputs).is_err() {
-            return PipelineTrialOutcome::UndetectedFailure;
-        }
+    if !outputs_verify(pipeline, run) {
+        return PipelineTrialOutcome::UndetectedFailure;
     }
     if run.recovered_stages() > 0 {
         PipelineTrialOutcome::Recovered

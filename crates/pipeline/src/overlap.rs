@@ -536,9 +536,7 @@ fn apply_launch(
             RedundancyMode::Uncontrolled { .. } => launch,
             // SRRS within the partition: start SMs spread over the
             // partition's SMs, replicas serialized against the partition.
-            RedundancyMode::Srrs { .. } => launch
-                .start_sm(part.start + r * part.len / replicas)
-                .serialize_group(group),
+            RedundancyMode::Srrs { .. } => launch.start_sm(part.start + r * part.len / replicas),
             // HALF is SLICE@2 within a partition, as on the whole device.
             RedundancyMode::Half => launch.slice(r as u8, 2),
             RedundancyMode::Slice {

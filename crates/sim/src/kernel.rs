@@ -86,19 +86,18 @@ pub struct LaunchAttrs {
     pub tag: String,
     /// Redundant-execution group membership, if any.
     pub redundant: Option<RedundantTag>,
-    /// SRRS hint: SM that receives the first thread block.
+    /// SRRS hint: SM that receives the first thread block. It also selects
+    /// SRRS, so kernels launched with it run one at a time, each starting
+    /// on an otherwise idle GPU (or partition).
     pub start_sm: Option<usize>,
     /// SLICE / HALF hint: which of N balanced SM slices this kernel is
     /// confined to (HALF is two slices).
     pub slice: Option<SmSlice>,
-    /// SRRS hint: kernels sharing a serialization group are executed one at
-    /// a time, on an otherwise idle GPU.
-    pub serialize_group: Option<u32>,
     /// Partition reservation: the kernel is confined to this contiguous SM
     /// range (a frame executor's branch partition). Composes with the
     /// diversity hints above — a `slice` is taken *of the reserve* (see
-    /// [`SmSlice::range_in`]), a `start_sm` round-robins *within* it, and a
-    /// `serialize_group` serializes against the reserve only — so one
+    /// [`SmSlice::range_in`]), and a `start_sm` round-robins *within* it and
+    /// serializes against the reserve's kernels only — so one
     /// frame's independent branches overlap on disjoint partitions while
     /// each branch keeps its replica-diversity placement.
     pub reserve: Option<SmRange>,
@@ -256,12 +255,6 @@ impl KernelLaunch {
         self
     }
 
-    /// SRRS hint: serialization group.
-    pub fn serialize_group(mut self, g: u32) -> Self {
-        self.attrs.serialize_group = Some(g);
-        self
-    }
-
     /// Confines this launch to a reserved SM partition (see
     /// [`LaunchAttrs::reserve`]).
     pub fn reserve(mut self, range: SmRange) -> Self {
@@ -408,7 +401,6 @@ mod tests {
             .redundant(7, 1)
             .start_sm(3)
             .slice(1, 3)
-            .serialize_group(9)
             .reserve(SmRange { start: 2, len: 2 })
             .dispatch_delay(501);
         assert_eq!(l.attrs.tag, "k0");
@@ -423,6 +415,5 @@ mod tests {
         );
         assert_eq!(l.attrs.start_sm, Some(3));
         assert_eq!(l.attrs.slice, Some(SmSlice { index: 1, of: 3 }));
-        assert_eq!(l.attrs.serialize_group, Some(9));
     }
 }

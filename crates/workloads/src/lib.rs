@@ -29,7 +29,7 @@
 //!
 //! Any registered workload can run in any mode (solo / redundant) under any
 //! scheduler policy inside a fault campaign — see
-//! `higpu_faults::campaign::run_campaign_selected`.
+//! `higpu_faults::campaign::run_campaign_selected_with_telemetry`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

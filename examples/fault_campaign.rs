@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RedundancyMode::srrs_default(6),
     ] {
         for fault in [FaultSpec::Permanent, FaultSpec::Droop { duration: 400 }] {
-            let r = run_campaign(&cfg, &mode, fault, &workload)?;
+            let r = run_campaign_with_perf(&cfg, &mode, fault, &workload)?.0;
             println!(
                 "{:<13} {:<14} {:<9} {:<7} {}",
                 r.policy, r.fault, r.detected, r.masked, r.undetected

@@ -177,7 +177,7 @@ fn kmeans_corrupted_cluster_ids_are_detected_not_panics() {
 #[test]
 fn tmr_campaigns_are_bit_identical_to_serial_across_worker_counts() {
     use higpu_faults::campaign::{
-        run_campaign_selected, run_campaign_selected_serial, CampaignSpec,
+        run_campaign_selected_serial, run_campaign_selected_with_telemetry, CampaignSpec,
     };
 
     let reg = full_registry();
@@ -196,8 +196,9 @@ fn tmr_campaigns_are_bit_identical_to_serial_across_worker_counts() {
             assert_eq!(serial.replicas, 3);
             for workers in [1usize, 2, 8] {
                 cfg.workers = workers;
-                let parallel = run_campaign_selected(&cfg, &reg, &spec)
-                    .unwrap_or_else(|e| panic!("{name}/{policy:?}@{workers}: {e}"));
+                let parallel = run_campaign_selected_with_telemetry(&cfg, &reg, &spec)
+                    .unwrap_or_else(|e| panic!("{name}/{policy:?}@{workers}: {e}"))
+                    .0;
                 assert_eq!(
                     parallel, serial,
                     "{name}/{policy:?}: report must not depend on workers={workers}"
@@ -282,7 +283,7 @@ fn single_replica_fault_is_corrected_under_tmr_but_detected_under_dcls() {
 /// "detected"; see `TrialOutcome::UndetectedFailure`.)
 #[test]
 fn long_droops_can_defeat_concurrent_slice_tmr_but_not_serialized_srrs() {
-    use higpu_faults::campaign::{run_campaign_selected, CampaignSpec};
+    use higpu_faults::campaign::{run_campaign_selected_with_telemetry, CampaignSpec};
 
     let reg = full_registry();
     let cfg = CampaignConfig {
@@ -292,23 +293,25 @@ fn long_droops_can_defeat_concurrent_slice_tmr_but_not_serialized_srrs() {
     };
     let droop = FaultSpec::Droop { duration: 400 };
 
-    let slice = run_campaign_selected(
+    let slice = run_campaign_selected_with_telemetry(
         &cfg,
         &reg,
         &CampaignSpec::new("nw", PolicyKind::Slice, droop).with_replicas(3),
     )
-    .expect("slice campaign");
+    .expect("slice campaign")
+    .0;
     assert!(
         slice.undetected > 0,
         "this droop is known to align two concurrent slice replicas: {slice:?}"
     );
 
-    let srrs = run_campaign_selected(
+    let srrs = run_campaign_selected_with_telemetry(
         &cfg,
         &reg,
         &CampaignSpec::new("nw", PolicyKind::Srrs, droop).with_replicas(3),
     )
-    .expect("srrs campaign");
+    .expect("srrs campaign")
+    .0;
     assert_eq!(
         srrs.undetected, 0,
         "serialized replicas are disjoint in time; the same draws stay covered: {srrs:?}"
@@ -328,7 +331,7 @@ fn long_droops_can_defeat_concurrent_slice_tmr_but_not_serialized_srrs() {
 /// can never form a clean wrong majority.
 #[test]
 fn droop_aware_start_skew_defeats_the_slice_droop_vulnerability() {
-    use higpu_faults::campaign::{run_campaign_selected, CampaignSpec};
+    use higpu_faults::campaign::{run_campaign_selected_with_telemetry, CampaignSpec};
 
     let reg = full_registry();
     let cfg = CampaignConfig {
@@ -338,12 +341,13 @@ fn droop_aware_start_skew_defeats_the_slice_droop_vulnerability() {
     };
     let droop = FaultSpec::Droop { duration: 400 };
 
-    let skewed = run_campaign_selected(
+    let skewed = run_campaign_selected_with_telemetry(
         &cfg,
         &reg,
         &CampaignSpec::new("nw", PolicyKind::SliceSkewed, droop).with_replicas(3),
     )
-    .expect("skewed slice campaign");
+    .expect("skewed slice campaign")
+    .0;
     assert_eq!(
         skewed.undetected, 0,
         "a skew larger than the droop leaves nothing silent: {skewed:?}"
@@ -351,12 +355,13 @@ fn droop_aware_start_skew_defeats_the_slice_droop_vulnerability() {
     assert_eq!(skewed.policy, "SLICE+SKEW");
     // The unskewed path stays vulnerable (the pinned regression above) —
     // this is the measured delta of the mitigation on the identical draws.
-    let plain = run_campaign_selected(
+    let plain = run_campaign_selected_with_telemetry(
         &cfg,
         &reg,
         &CampaignSpec::new("nw", PolicyKind::Slice, droop).with_replicas(3),
     )
-    .expect("plain slice campaign");
+    .expect("plain slice campaign")
+    .0;
     assert!(
         plain.undetected > 0,
         "unskewed fence still holds: {plain:?}"
@@ -373,7 +378,7 @@ fn droop_aware_start_skew_defeats_the_slice_droop_vulnerability() {
 /// guarantee — that is the point of the baseline column.
 #[test]
 fn uncontrolled_baseline_stays_defeated_at_three_replicas() {
-    use higpu_faults::campaign::{run_campaign_selected, CampaignSpec};
+    use higpu_faults::campaign::{run_campaign_selected_with_telemetry, CampaignSpec};
 
     let reg = full_registry();
     let cfg = CampaignConfig {
@@ -383,7 +388,9 @@ fn uncontrolled_baseline_stays_defeated_at_three_replicas() {
     };
     let spec = CampaignSpec::new("iterated_fma", PolicyKind::Default, FaultSpec::Permanent)
         .with_replicas(3);
-    let r = run_campaign_selected(&cfg, &reg, &spec).expect("campaign");
+    let r = run_campaign_selected_with_telemetry(&cfg, &reg, &spec)
+        .expect("campaign")
+        .0;
     assert_eq!(r.replicas, 3);
     assert_eq!(r.policy, "GPGPU-SIM");
     assert!(
@@ -392,12 +399,13 @@ fn uncontrolled_baseline_stays_defeated_at_three_replicas() {
     );
     // And the diverse policies stay clean on the same draws at N = 3 —
     // the baseline column exists to make this delta measurable.
-    let srrs = run_campaign_selected(
+    let srrs = run_campaign_selected_with_telemetry(
         &cfg,
         &reg,
         &CampaignSpec::new("iterated_fma", PolicyKind::Srrs, FaultSpec::Permanent).with_replicas(3),
     )
-    .expect("srrs campaign");
+    .expect("srrs campaign")
+    .0;
     assert_eq!(srrs.undetected, 0, "{srrs:?}");
 }
 

@@ -3,7 +3,7 @@
 
 use higpu::core::redundancy::RedundancyMode;
 use higpu::faults::campaign::{
-    run_campaign, CampaignConfig, CampaignRunner, FaultSpec, TrialOutcome,
+    run_campaign_with_perf, CampaignConfig, CampaignRunner, FaultSpec, TrialOutcome,
 };
 use higpu::faults::model::FaultModel;
 use higpu::faults::workload::IteratedFma;
@@ -40,7 +40,9 @@ fn diverse_policies_never_fail_undetected() {
             FaultSpec::Droop { duration: 500 },
             FaultSpec::Transient { duration: 500 },
         ] {
-            let r = run_campaign(&cfg(10), &mode, fault, &workload()).expect("campaign");
+            let r = run_campaign_with_perf(&cfg(10), &mode, fault, &workload())
+                .expect("campaign")
+                .0;
             assert_eq!(
                 r.undetected, 0,
                 "{} under {:?} must never fail undetected: {r:?}",
@@ -52,13 +54,14 @@ fn diverse_policies_never_fail_undetected() {
 
 #[test]
 fn uncontrolled_redundancy_fails_under_permanent_faults() {
-    let r = run_campaign(
+    let r = run_campaign_with_perf(
         &cfg(10),
         &RedundancyMode::uncontrolled(),
         FaultSpec::Permanent,
         &workload(),
     )
-    .expect("campaign");
+    .expect("campaign")
+    .0;
     assert!(
         r.undetected > 0,
         "identical placement must defeat plain redundancy: {r:?}"
@@ -128,12 +131,16 @@ fn lockstep_uncontrolled_replicas_let_droops_escape() {
     let mut lockstep = base.clone();
     lockstep.gpu.dispatch_gap_cycles = 0;
     let mode = RedundancyMode::uncontrolled();
-    let aligned = run_campaign(&lockstep, &mode, droop, &workload).expect("campaign");
+    let aligned = run_campaign_with_perf(&lockstep, &mode, droop, &workload)
+        .expect("campaign")
+        .0;
     assert!(
         aligned.undetected > 0,
         "lockstep replicas must fail undetected under droops: {aligned:?}"
     );
-    let gapped = run_campaign(&base, &mode, droop, &workload).expect("campaign");
+    let gapped = run_campaign_with_perf(&base, &mode, droop, &workload)
+        .expect("campaign")
+        .0;
     assert_eq!(
         gapped.undetected, 0,
         "the default dispatch gap keeps droops detectable: {gapped:?}"

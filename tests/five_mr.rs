@@ -8,7 +8,7 @@
 use higpu_core::policy::PolicyKind;
 use higpu_core::redundancy::{RParam, RedundancyMode, RedundantExecutor};
 use higpu_core::vote::VoteOutcome;
-use higpu_faults::campaign::{policy_mode, run_campaign, CampaignConfig, FaultSpec};
+use higpu_faults::campaign::{policy_mode, run_campaign_with_perf, CampaignConfig, FaultSpec};
 use higpu_faults::workload::IteratedFma;
 use higpu_sim::builder::KernelBuilder;
 use higpu_sim::config::GpuConfig;
@@ -130,8 +130,9 @@ fn five_replica_campaigns_correct_permanent_faults_cleanly() {
         iters: 16,
     };
     for mode in [RedundancyMode::srrs_spread(10, 5), RedundancyMode::slice(5)] {
-        let r = run_campaign(&cfg, &mode, FaultSpec::Permanent, &workload)
-            .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+        let r = run_campaign_with_perf(&cfg, &mode, FaultSpec::Permanent, &workload)
+            .unwrap_or_else(|e| panic!("{mode:?}: {e}"))
+            .0;
         assert_eq!(r.replicas, 5);
         assert_eq!(r.undetected, 0, "{mode:?}: diversity holds at N=5: {r:?}");
         assert!(

@@ -8,7 +8,7 @@ use higpu::core::ftti::{FttiBudget, RecoveryAnalysis};
 use higpu::core::prelude::{Asil, PolicyKind};
 use higpu::core::redundancy::{RedundancyMode, RedundantExecutor};
 use higpu::core::safety_case::SafetyCase;
-use higpu::faults::campaign::{run_campaign, CampaignConfig, FaultSpec};
+use higpu::faults::campaign::{run_campaign_with_perf, CampaignConfig, FaultSpec};
 use higpu::faults::workload::{IteratedFma, RedundantWorkload};
 use higpu::sim::config::GpuConfig;
 use higpu::sim::gpu::Gpu;
@@ -39,7 +39,7 @@ fn full_safety_case_reaches_asil_d_under_srrs() {
     let bist = scheduler_bist(&mut gpu, mode.clone(), 12).expect("bist");
 
     // 3. Fault-injection campaign.
-    let campaign = run_campaign(
+    let campaign = run_campaign_with_perf(
         &CampaignConfig {
             trials: 8,
             seed: 99,
@@ -49,7 +49,8 @@ fn full_safety_case_reaches_asil_d_under_srrs() {
         FaultSpec::Permanent,
         &workload(),
     )
-    .expect("campaign");
+    .expect("campaign")
+    .0;
 
     // 4. Assemble and evaluate the case.
     let case = SafetyCase {
@@ -124,15 +125,15 @@ fn policy_swap_between_kernels_matches_paper_operation() {
             RedundantExecutor::new(&mut gpu, RedundancyMode::srrs_default(6)).expect("srrs");
         workload().run(&mut exec).expect("workload");
     }
-    assert_eq!(gpu.policy_name(), "srrs");
+    assert_eq!(gpu.policy_name(), "partitioned");
     {
         let mut exec = RedundantExecutor::new(&mut gpu, RedundancyMode::Half).expect("half");
         workload().run(&mut exec).expect("workload");
     }
     assert_eq!(
         gpu.policy_name(),
-        "slice",
-        "HALF runs on the SLICE scheduler"
+        "partitioned",
+        "SRRS and HALF run on one scheduler; the launch attributes pick the rule"
     );
     let report = analyze(gpu.trace(), DiversityRequirements::default());
     assert!(

@@ -12,8 +12,8 @@
 use higpu_bench::matrix::full_registry;
 use higpu_core::policy::PolicyKind;
 use higpu_faults::campaign::{
-    run_campaign_selected, run_campaign_selected_with_telemetry, CampaignConfig, CampaignReport,
-    CampaignSpec, CampaignTelemetry, FaultSpec,
+    run_campaign_selected_with_telemetry, CampaignConfig, CampaignReport, CampaignSpec,
+    CampaignTelemetry, FaultSpec,
 };
 use higpu_faults::checkpoint::CheckpointConfig;
 use higpu_sim::config::GpuConfig;
@@ -46,8 +46,13 @@ fn campaign_cfg(workers: usize, telemetry: bool) -> CampaignConfig {
 }
 
 fn run_cell(workers: usize, telemetry: bool) -> CampaignReport {
-    run_campaign_selected(&campaign_cfg(workers, telemetry), &full_registry(), &spec())
-        .expect("campaign")
+    run_campaign_selected_with_telemetry(
+        &campaign_cfg(workers, telemetry),
+        &full_registry(),
+        &spec(),
+    )
+    .expect("campaign")
+    .0
 }
 
 /// The primary fence: a telemetry-enabled campaign reports exactly what the
@@ -78,7 +83,9 @@ fn checkpointed_reports_unaffected_by_telemetry() {
     for telemetry in [false, true] {
         let mut cfg = campaign_cfg(2, telemetry);
         cfg.checkpoint = Some(CheckpointConfig::default());
-        let report = run_campaign_selected(&cfg, &reg, &spec()).expect("checkpointed campaign");
+        let report = run_campaign_selected_with_telemetry(&cfg, &reg, &spec())
+            .expect("checkpointed campaign")
+            .0;
         assert_eq!(
             report, baseline,
             "checkpointed campaign (telemetry={telemetry}) diverged from from-zero baseline"
