@@ -198,6 +198,7 @@ pub struct DeviceSnapshot {
     next_kernel_id: u64,
     sched_dirty: bool,
     instructions: u64,
+    kernels_completed: u64,
     blocks_completed: u64,
     quarantined: Vec<bool>,
     /// Dirty prefix of the word-addressed memory image (`dirty_hi` bytes).
@@ -263,6 +264,10 @@ pub struct Gpu {
     mem: Vec<u32>,
     memsys: MemorySystem,
     sms: Vec<Sm>,
+    /// The launch table: every launched kernel with a block not yet
+    /// completed, in launch order. A kernel leaves it when its last block
+    /// completes or it is cancelled, so the table is empty exactly when the
+    /// device is idle, and lookups walk only live kernels.
     kernels: Vec<KernelRuntime>,
     policy: Box<dyn KernelSchedulerPolicy>,
     fault: Box<dyn FaultHook>,
@@ -289,9 +294,14 @@ pub struct Gpu {
     dirty_hi: u32,
     next_kernel_id: u64,
     trace: ExecutionTrace,
+    /// A scheduling round is due: the policy's view may have changed since
+    /// the last round (see [`Gpu::run_loop`] for what sets it).
     sched_dirty: bool,
     sched: SchedScratch,
     instructions: u64,
+    /// Kernels that completed every block since the last reset (the
+    /// launch table forgets them, so the count is carried separately).
+    kernels_completed: u64,
     blocks_completed: u64,
     /// Telemetry sink: `Some` iff [`GpuConfig::telemetry_capacity`] was set
     /// (or [`Gpu::set_telemetry_capacity`] was called). Purely
@@ -308,22 +318,15 @@ pub struct Gpu {
     // Rebuilt from scratch on every `run_until` entry, so launches, resets,
     // cancellations and quarantines between runs need no event bookkeeping.
     // All containers retain capacity across runs.
-    /// Future kernel arrivals `(arrival, kernel id)`, min-heap. Non-empty
-    /// iff some unfinished kernel has `arrival > cycle`, the condition that
-    /// keeps the scheduler dirty (`debug_assert`-checked against the kernel
-    /// scan every advance).
+    /// Kernel arrivals not yet matured `(arrival, kernel id)`, min-heap.
+    /// After each maturation step it is non-empty iff some live kernel has
+    /// `arrival > cycle` (`debug_assert`-checked against the kernel scan
+    /// every advance).
     arrivals: BinaryHeap<Reverse<(u64, u64)>>,
     /// Incremental mirror of [`Gpu::pending_blocks`]: credited when an
     /// arrival matures, debited per dispatched block
     /// (`debug_assert`-checked against the exhaustive sum every advance).
     arrived_pending: u32,
-    /// Count of launched-but-unfinished kernels, maintained across every
-    /// launch/complete/cancel/restore transition so [`Gpu::is_idle`] — on
-    /// the run loop's hot path twice per visited cycle — is one compare
-    /// instead of an O(kernels) scan (a many-launch run keeps dozens of
-    /// finished kernels in the table). `debug_assert`-checked against the
-    /// exhaustive scan on every [`Gpu::is_idle`] call.
-    live_kernels: usize,
     /// Flat mirror of every SM's [`Sm::next_ready_at`], rebuilt on entry to
     /// the run loop and refreshed after each issue / scheduling
     /// round. The per-visit due-SM scan reads this one contiguous row
@@ -385,6 +388,7 @@ impl Gpu {
             sched_dirty: false,
             sched: SchedScratch::default(),
             instructions: 0,
+            kernels_completed: 0,
             blocks_completed: 0,
             telemetry: cfg
                 .telemetry_capacity
@@ -393,7 +397,6 @@ impl Gpu {
             restore_skipped_cycles: 0,
             arrivals: BinaryHeap::new(),
             arrived_pending: 0,
-            live_kernels: 0,
             flat_wakes: Vec::new(),
             cfg,
         }
@@ -479,6 +482,7 @@ impl Gpu {
             next_kernel_id: self.next_kernel_id,
             sched_dirty: self.sched_dirty,
             instructions: self.instructions,
+            kernels_completed: self.kernels_completed,
             blocks_completed: self.blocks_completed,
             quarantined: self.quarantined.clone(),
             mem: self.mem[..words].to_vec(),
@@ -543,11 +547,11 @@ impl Gpu {
         self.next_kernel_id = snap.next_kernel_id;
         self.sched_dirty = snap.sched_dirty;
         self.instructions = snap.instructions;
+        self.kernels_completed = snap.kernels_completed;
         self.blocks_completed = snap.blocks_completed;
         self.quarantined.clone_from(&snap.quarantined);
         self.memsys.clone_from(&snap.memsys);
         self.kernels.clone_from(&snap.kernels);
-        self.live_kernels = self.kernels.iter().filter(|k| !k.is_finished()).count();
         self.trace.clone_from(&snap.trace);
         for (sm, st) in self.sms.iter_mut().zip(&snap.sms) {
             sm.restore_state(st);
@@ -693,16 +697,14 @@ impl Gpu {
         self.quarantined.iter().filter(|q| !**q).count()
     }
 
-    /// True when every launched kernel has finished. O(1): answered from
-    /// the live-kernel counter, cross-checked against the exhaustive scan
-    /// in debug builds.
+    /// True when every launched kernel has finished (or was cancelled):
+    /// the launch table holds live kernels only, so this is one compare.
     pub fn is_idle(&self) -> bool {
-        debug_assert_eq!(
-            self.live_kernels == 0,
-            self.kernels.iter().all(KernelRuntime::is_finished),
-            "live-kernel counter diverged from the launch table"
+        debug_assert!(
+            !self.kernels.iter().any(KernelRuntime::is_finished),
+            "a finished kernel stayed in the launch table"
         );
-        self.live_kernels == 0
+        self.kernels.is_empty()
     }
 
     // ---- device memory ------------------------------------------------------
@@ -798,7 +800,6 @@ impl Gpu {
             sm.reset();
         }
         self.kernels.clear();
-        self.live_kernels = 0;
         self.policy.reset();
         self.clear_fault_hook();
         self.quarantined.fill(false);
@@ -810,6 +811,7 @@ impl Gpu {
         self.trace.clear();
         self.sched_dirty = false;
         self.instructions = 0;
+        self.kernels_completed = 0;
         self.blocks_completed = 0;
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.clear();
@@ -834,7 +836,6 @@ impl Gpu {
             sm.discard_blocks();
         }
         self.kernels.clear();
-        self.live_kernels = 0;
         self.reset().expect("all in-flight work was discarded");
     }
 
@@ -849,13 +850,14 @@ impl Gpu {
     /// exactly as it would on real hardware. Aborted kernels keep their
     /// trace records with `completion == None` (the observable of a killed
     /// launch). The watchdog limit is cleared so the caller can arm a fresh
-    /// budget for the retry.
+    /// budget for the retry. Cancelled kernels never count in
+    /// [`SimStats::kernels_completed`]; kernels that completed before the
+    /// abort still do.
     pub fn cancel_in_flight(&mut self) {
         for sm in &mut self.sms {
             sm.discard_blocks();
         }
         self.kernels.clear();
-        self.live_kernels = 0;
         self.cycle_limit = None;
         self.sched_dirty = false;
     }
@@ -872,26 +874,27 @@ impl Gpu {
     /// sibling partitions never observe a clock-visible difference. The
     /// device watchdog is *not* cleared (sibling branches may still be
     /// running under their own limits); cancelled kernels keep their trace
-    /// records with `completion == None`.
+    /// records with `completion == None` and never count in
+    /// [`SimStats::kernels_completed`].
     pub fn cancel_kernels(&mut self, kernels: &[KernelId]) {
         for sm in &mut self.sms {
             sm.discard_blocks_of(kernels);
         }
         self.kernels.retain(|k| !kernels.contains(&k.id));
-        self.live_kernels = self.kernels.iter().filter(|k| !k.is_finished()).count();
         // Freed partition capacity may admit other kernels' pending blocks.
         self.sched_dirty = true;
     }
 
-    /// True once `kernel` has completed every block. Kernels cancelled via
-    /// [`Gpu::cancel_kernels`] / [`Gpu::cancel_in_flight`] count as
-    /// finished (they will never complete; their dead ids resolve rather
-    /// than wedge a waiter).
+    /// True unless `kernel` is still in the launch table, i.e. launched and
+    /// with a block not yet completed. A kernel leaves the table when its
+    /// last block completes, so the lookup walks live kernels only. Every
+    /// id missing from the table reads as finished: completed kernels,
+    /// kernels cancelled via [`Gpu::cancel_kernels`] /
+    /// [`Gpu::cancel_in_flight`] (they will never complete; their dead ids
+    /// resolve rather than wedge a waiter), and ids that [`Gpu::reset`] or
+    /// a [`Gpu::restore`] to an earlier snapshot discarded.
     pub fn kernel_finished(&self, kernel: KernelId) -> bool {
-        self.kernels
-            .iter()
-            .find(|k| k.id == kernel)
-            .is_none_or(KernelRuntime::is_finished)
+        !self.kernels.iter().any(|k| k.id == kernel)
     }
 
     /// Writes raw bytes to device memory.
@@ -1012,6 +1015,13 @@ impl Gpu {
             blocks: launch.config.num_blocks(),
             footprint: fp,
         });
+        self.sched_dirty = true;
+        self.emit(EventKind::KernelLaunch, self.cycle, NO_SM, id.0, arrival);
+        if launch.config.num_blocks() == 0 {
+            // An empty grid has nothing to run: it completes at launch.
+            self.kernels_completed += 1;
+            return Ok(id);
+        }
         let params: Arc<[u32]> = Arc::from(launch.config.params.into_boxed_slice());
         let attrs = Arc::new(launch.attrs);
         self.kernels.push(KernelRuntime {
@@ -1027,11 +1037,6 @@ impl Gpu {
             blocks_done: 0,
             record,
         });
-        if !self.kernels.last().expect("just pushed").is_finished() {
-            self.live_kernels += 1;
-        }
-        self.sched_dirty = true;
-        self.emit(EventKind::KernelLaunch, self.cycle, NO_SM, id.0, arrival);
         Ok(id)
     }
 
@@ -1043,32 +1048,34 @@ impl Gpu {
             .sum()
     }
 
-    /// The earliest arrival among unfinished kernels still in the future:
-    /// the exhaustive derivation the run loop's `arrivals` heap is checked
+    /// The earliest arrival among live kernels still in the future: the
+    /// exhaustive derivation the run loop's `arrivals` heap is checked
     /// against.
     fn next_arrival_scan(&self) -> Option<u64> {
         self.kernels
             .iter()
-            .filter(|k| !k.is_finished() && k.arrival > self.cycle)
+            .filter(|k| k.arrival > self.cycle)
             .map(|k| k.arrival)
             .min()
     }
 
     /// Runs one scheduling round: consults the policy and dispatches the
-    /// committed assignments (subject to fault-hook rerouting).
+    /// committed assignments (subject to fault-hook rerouting). Returns true
+    /// when the fault hook rerouted or dropped an assignment, so the device
+    /// is not at the state the policy's round ended in.
     ///
     /// Snapshot, assignment and fit buffers are scratch reused across
     /// rounds ([`SchedScratch`]): after warm-up a round performs no heap
     /// allocations (the kernel attributes are shared via `Arc`, not
     /// cloned). Enforced by the `scheduler_rounds_are_allocation_free`
     /// test.
-    fn run_scheduler(&mut self) {
+    fn run_scheduler(&mut self) -> bool {
         let mut kernels = std::mem::take(&mut self.sched.kernels);
         kernels.clear();
         kernels.extend(
             self.kernels
                 .iter()
-                .filter(|k| k.arrival <= self.cycle && !k.is_finished())
+                .filter(|k| k.arrival <= self.cycle)
                 .map(|k| KernelSnapshot {
                     id: k.id,
                     attrs: k.attrs.clone(),
@@ -1081,7 +1088,7 @@ impl Gpu {
         );
         if kernels.is_empty() {
             self.sched.kernels = kernels;
-            return;
+            return false;
         }
         let mut sms = std::mem::take(&mut self.sched.sms);
         sms.clear();
@@ -1095,6 +1102,7 @@ impl Gpu {
         self.policy.assign(&mut view);
         let (kernels, sms, assignments) = view.into_parts();
 
+        let mut misrouted = false;
         for a in &assignments {
             let Some(k) = self.kernels.iter().position(|k| k.id == a.kernel) else {
                 continue;
@@ -1121,8 +1129,10 @@ impl Gpu {
                     .reroute_block(a.kernel, block_linear, a.sm, self.sms.len(), &|sm| {
                         fits.get(sm).copied().unwrap_or(false)
                     });
+            misrouted |= chosen != a.sm;
             if !fits.get(chosen).copied().unwrap_or(false) {
-                continue; // retried at the next scheduling round
+                misrouted = true;
+                continue; // retried at a later scheduling round
             }
             let kr = &mut self.kernels[k];
             kr.blocks_issued += 1;
@@ -1161,6 +1171,7 @@ impl Gpu {
         self.sched.kernels = kernels;
         self.sched.sms = sms;
         self.sched.assignments = assignments;
+        misrouted
     }
 
     /// Advances the clock to the latest kernel arrival and runs exactly one
@@ -1189,11 +1200,15 @@ impl Gpu {
         self.instructions += c.instrs;
         self.blocks_completed += 1;
         let mut finished = false;
-        if let Some(k) = self.kernels.iter_mut().find(|k| k.id == c.kernel) {
+        if let Some(i) = self.kernels.iter().position(|k| k.id == c.kernel) {
+            let k = &mut self.kernels[i];
             k.blocks_done += 1;
             if k.is_finished() {
                 self.trace.kernels[k.record].completion = Some(c.end);
-                self.live_kernels -= 1;
+                self.kernels_completed += 1;
+                // `remove`, not `swap_remove`: policies see kernels in
+                // launch order.
+                self.kernels.remove(i);
                 finished = true;
             }
         }
@@ -1229,9 +1244,20 @@ impl Gpu {
     ///
     /// The predicate is evaluated once on entry (a satisfied wait returns
     /// without advancing the clock) and again after every batch of block
-    /// completions. The watchdog ([`Gpu::set_cycle_limit`]) applies exactly
-    /// as in [`Gpu::run_to_idle`] — which is this method with a
-    /// never-satisfied predicate.
+    /// completions, and nowhere else: it must depend only on what a block
+    /// completion can change, such as [`Gpu::kernel_finished`]. The
+    /// watchdog ([`Gpu::set_cycle_limit`]) applies exactly as in
+    /// [`Gpu::run_to_idle`] — which is this method with a never-satisfied
+    /// predicate.
+    ///
+    /// The clock jumps between event cycles: SM wake-ups, kernel arrivals
+    /// and the cycle after a scheduling round is due. A round consults the
+    /// policy only after something changed its view (launch, arrival,
+    /// block completion, cancel, quarantine, restore) or after the fault
+    /// hook rerouted or dropped one of its assignments while a kernel
+    /// arrival is still to come; see
+    /// [`crate::scheduler::KernelSchedulerPolicy::assign`] for the contract
+    /// that makes the rounds in between redundant.
     ///
     /// # Errors
     ///
@@ -1265,7 +1291,24 @@ impl Gpu {
     /// pause point, watchdog, inert cutoff, arrival maturation, scheduling
     /// round, issue on every due SM in ascending id order (the shared
     /// memory system is order-sensitive), completions, then the advance to
-    /// the next event cycle.
+    /// the next event cycle: the earliest SM wake-up or kernel arrival, or
+    /// the next cycle when a round is due and arrived blocks are pending.
+    ///
+    /// Scheduling rounds are event-driven. A round runs only at a cycle
+    /// where `sched_dirty` is set, which happens on launch, arrival
+    /// maturation, block completion, cancel, quarantine and restore (the
+    /// snapshot carries the flag). Every installed policy honours the
+    /// [`KernelSchedulerPolicy::assign`] contract: a round over the view
+    /// its last round produced assigns nothing. So a round between those
+    /// events could place nothing, and waiting blocks do not make the loop
+    /// step cycle by cycle. One case leaves the device off the policy's
+    /// view: the fault hook rerouted or dropped an assignment. That round
+    /// is retried at the next cycle, but only while a kernel arrival is
+    /// still in the future, the retry timing of the scheduler that
+    /// re-ran every cycle until its last arrival. A kernel that arrives
+    /// exactly at the entry cycle (a pause can land on an arrival) enters
+    /// the arrival heap like any later one, so its maturation marks the
+    /// scheduler dirty.
     ///
     /// Three incremental structures spare each visited cycle an exhaustive
     /// rescan. Each is `debug_assert`-checked against that rescan on every
@@ -1273,20 +1316,19 @@ impl Gpu {
     /// the schedule the exhaustive way and compares:
     ///
     /// * `arrivals`: the heap minimum equals the earliest future arrival
-    ///   of an unfinished kernel ([`Gpu::next_arrival_scan`]), both `None`
-    ///   when there is none;
+    ///   of a live kernel ([`Gpu::next_arrival_scan`]), both `None` when
+    ///   there is none;
     /// * `arrived_pending`: equals [`Gpu::pending_blocks`];
     /// * `flat_wakes`: each entry equals its SM's [`Sm::next_ready_at`]
     ///   (itself checked against a warp scan), and the minimum fused into
     ///   the issue pass equals the minimum over all SMs after completions.
     ///
     /// Skipped SMs are exactly those for which [`Sm::issue`] would be a
-    /// no-op (no warp issuable at `now`), and scheduling rounds run under
-    /// the `sched_dirty` protocol, so the (stateful) kernel scheduler
-    /// policy observes a fixed sequence of views.
+    /// no-op (no warp issuable at `now`).
     ///
     /// All loop state is rebuilt on entry, so host-side mutations between
-    /// runs (launch, reset, cancel, quarantine) need no event bookkeeping.
+    /// runs (launch, reset, cancel, quarantine) need no event bookkeeping
+    /// beyond setting `sched_dirty`.
     fn run_loop(
         &mut self,
         mut done: impl FnMut(&Gpu) -> bool,
@@ -1296,12 +1338,14 @@ impl Gpu {
             return Ok(self.cycle);
         }
         self.arrivals.clear();
+        self.arrived_pending = 0;
         for k in &self.kernels {
-            if !k.is_finished() && k.arrival > self.cycle {
+            if k.arrival >= self.cycle {
                 self.arrivals.push(Reverse((k.arrival, k.id.0)));
+            } else {
+                self.arrived_pending += k.blocks_total() - k.blocks_issued;
             }
         }
-        self.arrived_pending = self.pending_blocks();
         self.flat_wakes.clear();
         self.flat_wakes
             .extend(self.sms.iter().map(Sm::next_ready_at));
@@ -1332,21 +1376,21 @@ impl Gpu {
                     return Err(e);
                 }
             }
-            // Matured arrivals join the pending pool.
+            // Matured arrivals join the pending pool and the policy's view.
             while let Some(&Reverse((arr, kid))) = self.arrivals.peek() {
                 if arr > self.cycle {
                     break;
                 }
                 self.arrivals.pop();
                 if let Some(k) = self.kernels.iter().find(|k| k.id.0 == kid) {
-                    if !k.is_finished() {
-                        self.arrived_pending += k.blocks_total() - k.blocks_issued;
-                    }
+                    self.arrived_pending += k.blocks_total() - k.blocks_issued;
+                    self.sched_dirty = true;
                 }
             }
+            let mut misrouted = false;
             if self.sched_dirty {
                 self.sched_dirty = false;
-                self.run_scheduler();
+                misrouted = self.run_scheduler();
                 // Admissions may have changed SM wake-ups; re-mirror them.
                 self.flat_wakes.clear();
                 self.flat_wakes
@@ -1392,6 +1436,7 @@ impl Gpu {
                 *wc = sm.next_ready_at();
                 next = next.min(*wc);
             }
+            let completed = !completions.is_empty();
             for c in completions.drain(..) {
                 self.process_completion(c);
             }
@@ -1405,12 +1450,12 @@ impl Gpu {
                 "fused wake minimum diverged from the post-completion SM scan at cycle {}",
                 self.cycle
             );
-            if self.is_idle() || done(self) {
+            // Only a completion can satisfy a wait on kernels.
+            if self.is_idle() || (completed && done(self)) {
                 break;
             }
 
             // Advance: fused minimum over SM wake-ups vs the next arrival.
-            // A future arrival keeps the scheduler dirty until it matures.
             let next_arrival = self.arrivals.peek().map(|&Reverse((arr, _))| arr);
             debug_assert_eq!(
                 next_arrival,
@@ -1420,7 +1465,8 @@ impl Gpu {
             );
             if let Some(arr) = next_arrival {
                 next = next.min(arr);
-                self.sched_dirty = true;
+                // Retry a round the fault hook diverted (see above).
+                self.sched_dirty |= misrouted;
             }
             debug_assert_eq!(
                 self.arrived_pending,
@@ -1497,7 +1543,7 @@ impl Gpu {
             per_sm: self.sms.iter().map(Sm::stats).collect(),
             memory: self.memsys.stats(),
             oob_accesses: self.sms.iter().map(|s| s.oob_accesses).sum(),
-            kernels_completed: self.kernels.iter().filter(|k| k.is_finished()).count() as u64,
+            kernels_completed: self.kernels_completed,
             blocks_completed: self.blocks_completed,
         }
     }
@@ -1908,6 +1954,68 @@ mod tests {
         let rec = gpu.trace().kernel(a).expect("cancelled kernel traced");
         assert_eq!(rec.completion, None, "a killed launch never completes");
         assert!(gpu.trace().kernel(b).expect("b").completion.is_some());
+    }
+
+    #[test]
+    fn finished_kernels_leave_the_table_but_stay_counted() {
+        let mut gpu = Gpu::new(GpuConfig::tiny_2sm());
+        let buf = gpu.alloc_words(256).expect("alloc");
+        let launch = |gpu: &mut Gpu, blocks: u32| {
+            gpu.launch(KernelLaunch::new(
+                inc_kernel(),
+                LaunchConfig::new(blocks, 32u32).param_u32(buf.0),
+            ))
+            .expect("launch")
+        };
+        let completed = |gpu: &Gpu| gpu.stats().kernels_completed;
+        let a = launch(&mut gpu, 1);
+        let b = launch(&mut gpu, 6);
+        gpu.run_until(|g| g.kernel_finished(a)).expect("wait a");
+        assert!(gpu.kernel_finished(a) && !gpu.kernel_finished(b));
+        assert_eq!(completed(&gpu), 1);
+        assert!(
+            gpu.kernel_finished(KernelId(99)),
+            "an unknown id reads finished"
+        );
+        let mid = gpu.snapshot();
+
+        // Cancelling a live kernel finishes its id but completes nothing.
+        gpu.cancel_kernels(&[b]);
+        assert!(gpu.kernel_finished(b) && gpu.is_idle());
+        assert_eq!(completed(&gpu), 1);
+
+        // A restore brings the cancelled kernel back, and the count with it.
+        gpu.restore(&mid);
+        assert!(gpu.kernel_finished(a) && !gpu.kernel_finished(b));
+        assert_eq!(completed(&gpu), 1);
+        gpu.run_to_idle().expect("finish b");
+        assert!(gpu.kernel_finished(b));
+        assert_eq!(completed(&gpu), 2);
+
+        // An empty grid completes at launch.
+        let empty = launch(&mut gpu, 0);
+        assert!(gpu.kernel_finished(empty) && gpu.is_idle());
+        assert_eq!(completed(&gpu), 3);
+
+        // Aborting in-flight work keeps the kernels completed before it.
+        let c = launch(&mut gpu, 4);
+        gpu.set_cycle_limit(Some(gpu.cycle() + 1));
+        gpu.run_to_idle().expect_err("deadline fires");
+        assert!(!gpu.kernel_finished(c));
+        gpu.cancel_in_flight();
+        assert!(gpu.kernel_finished(c));
+        assert_eq!(completed(&gpu), 3);
+
+        // Restoring the earlier snapshot rewinds the count; `c` was
+        // launched after it, so its id is unknown there and reads finished.
+        gpu.restore(&mid);
+        assert_eq!(completed(&gpu), 1);
+        assert!(gpu.kernel_finished(c) && !gpu.kernel_finished(b));
+        gpu.run_to_idle().expect("finish b again");
+
+        gpu.reset().expect("idle");
+        assert_eq!(completed(&gpu), 0);
+        assert!(gpu.kernel_finished(a) && gpu.kernel_finished(b));
     }
 
     #[test]

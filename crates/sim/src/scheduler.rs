@@ -2,9 +2,10 @@
 //!
 //! The paper's core proposal is to make this component policy-controlled:
 //! which SM receives each thread block, and when kernels may start. The
-//! simulator invokes the installed [`KernelSchedulerPolicy`] whenever
-//! scheduling state changes (kernel arrival, block completion); the policy
-//! inspects a [`SchedulerView`] and commits block-to-SM assignments through
+//! simulator invokes the installed [`KernelSchedulerPolicy`] only when
+//! scheduling state changes (launch, kernel arrival, block completion,
+//! cancel, quarantine, a fault-hook reroute); the policy inspects a
+//! [`SchedulerView`] and commits block-to-SM assignments through
 //! [`SchedulerView::try_assign`].
 //!
 //! [`DefaultScheduler`] models the undisclosed COTS behaviour the paper
@@ -210,13 +211,24 @@ impl SchedulerView {
 ///
 /// Implementations decide, at every scheduling round, which pending thread
 /// blocks are dispatched to which SMs. They may keep internal state across
-/// rounds (e.g. round-robin cursors, serialization gates) but must be
-/// restartable via [`KernelSchedulerPolicy::reset`].
+/// rounds (e.g. round-robin cursors, serialization gates) but must meet
+/// the [`KernelSchedulerPolicy::assign`] contract and be restartable via
+/// [`KernelSchedulerPolicy::reset`].
 pub trait KernelSchedulerPolicy {
     /// Short policy name for traces and reports.
     fn name(&self) -> &str;
 
     /// Commits zero or more assignments on `view`.
+    ///
+    /// Contract: a round over the view the previous round left behind (its
+    /// assignments applied, nothing completed or arrived in between)
+    /// assigns nothing. Policies that fill the view to a fixpoint and keep
+    /// no state between rounds, like [`DefaultScheduler`] and the
+    /// workspace's `PartitionedScheduler`, meet it by construction. The
+    /// run loop relies on it: it runs a round only after an event changed
+    /// the view (see [`crate::gpu::Gpu::run_until`]), so a policy that
+    /// withholds work from a view it will later fill sees that view again
+    /// only when the device goes quiescent.
     fn assign(&mut self, view: &mut SchedulerView);
 
     /// Clears internal state (called when the GPU is reset between

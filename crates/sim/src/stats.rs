@@ -16,7 +16,10 @@ pub struct SimStats {
     pub memory: MemoryStats,
     /// Out-of-bounds accesses observed (0 for correct, fault-free runs).
     pub oob_accesses: u64,
-    /// Kernels completed.
+    /// Kernels that completed every block since the last reset (an empty
+    /// grid completes at launch). A cancelled kernel never counts, and a
+    /// cancellation leaves the kernels completed before it counted. Device
+    /// snapshots carry the count, so a restore rewinds it.
     pub kernels_completed: u64,
     /// Thread blocks completed.
     pub blocks_completed: u64,
