@@ -15,18 +15,25 @@
 //!   GPU is rewound between trials with [`Gpu::reset`] (bump-allocator
 //!   rewind + dirty-prefix zeroing) instead of reconstructing a multi-MB
 //!   zeroed memory image per trial.
-//! * **Deterministic reduction** — per-trial outcomes are order-independent
-//!   counts, so the parallel [`run_campaign_with_perf`] produces a
-//!   [`CampaignReport`] bit-identical to [`run_campaign_serial`] for the
-//!   same seed, at every worker count (enforced by tests).
-//! * **One simulation per distinct model** — equal models are equal trials,
-//!   so the pool simulates each distinct drawn model once and counts it as
-//!   often as it was drawn (a misroute cell draws from only `num_sms - 1`
-//!   shifts). [`run_campaign_serial`] still simulates every trial.
-//! * **No simulation for idle windows** — the pool classifies a model whose
-//!   window meets no block of the fault-free run on the SMs it targets as
-//!   [`TrialOutcome::NotActivated`] without simulating it
-//!   ([`BusyIntervals`], built by the fault-free pass it already runs).
+//! * **One cell engine** — [`run_cell`] is the counting loop of every
+//!   campaign cell, for workload cells here and for pipeline frames and
+//!   limp-home missions (`higpu_pipeline::campaign`). A subject
+//!   ([`CellSubject`]) supplies its fault-free pass, a per-worker runner
+//!   and how to count one trial; the engine does the rest:
+//!   * *one simulation per distinct model* — equal models are equal
+//!     trials, so each distinct drawn model runs once and counts as often
+//!     as it was drawn (a misroute cell draws from only `num_sms - 1`
+//!     shifts);
+//!   * *no simulation for idle windows* — a model whose window meets no
+//!     block of the fault-free pass on the SMs it targets
+//!     ([`BusyIntervals::proves_not_activated`]) counts as the fault-free
+//!     run, [`TrialOutcome::NotActivated`], without simulating it;
+//!   * *deterministic reduction* — the rest run on a worker pool and their
+//!     order-independent counts are summed, so the parallel
+//!     [`run_campaign_with_perf`] produces a [`CampaignReport`]
+//!     bit-identical to [`run_campaign_serial`] for the same seed, at every
+//!     worker count (enforced by tests). The serial oracles run every
+//!     trial in full from cycle 0.
 //! * **FTTI-bounded trials** — corruption can send a kernel into a
 //!   runaway loop (e.g. a loop counter's sign bit flipped turns a 16-pass
 //!   loop into a 2³¹-iteration one). Each trial carries a cycle budget
@@ -62,6 +69,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Family of faults a campaign injects; per-trial parameters (time, SM,
 /// bit) are drawn from the campaign RNG.
@@ -346,7 +354,7 @@ impl From<RedundancyError> for CampaignError {
 }
 
 /// Aggregated campaign results.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignReport {
     /// Workload name.
     pub workload: String,
@@ -376,6 +384,36 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// The report of a cell with no trial counted yet.
+    fn empty(
+        cfg: &CampaignConfig,
+        mode: &RedundancyMode,
+        spec: FaultSpec,
+        workload: &dyn RedundantWorkload,
+        fault_free_makespan: u64,
+    ) -> Self {
+        CampaignReport {
+            workload: workload.name().to_string(),
+            policy: mode.policy_kind().label().to_string(),
+            fault: spec.label(),
+            replicas: mode.replicas(),
+            fault_free_makespan,
+            trials: cfg.trials,
+            ..CampaignReport::default()
+        }
+    }
+
+    /// Counts one trial.
+    fn add(&mut self, outcome: TrialOutcome) {
+        *match outcome {
+            TrialOutcome::NotActivated => &mut self.not_activated,
+            TrialOutcome::Masked => &mut self.masked,
+            TrialOutcome::Detected => &mut self.detected,
+            TrialOutcome::Corrected => &mut self.corrected,
+            TrialOutcome::UndetectedFailure => &mut self.undetected,
+        } += 1;
+    }
+
     /// Detection coverage over effective faults
     /// (detected + corrected + undetected) — a corrected trial counts as
     /// covered; `None` when no fault was effective.
@@ -512,15 +550,10 @@ pub fn ftti_deadline(fault_free_makespan: u64, ftti_multiplier: u64) -> u64 {
 /// dispatch (only misroute trials run the diversity monitor and scheduler
 /// self-test), so they always simulate.
 ///
-/// Campaign draws arm in `0..makespan`, so this makespan-only check skips
-/// no drawn model; a trial run without busy intervals
+/// Campaign draws arm in `0..makespan`, so this check skips no drawn
+/// model; it is the fallback of a trial run without busy intervals
 /// ([`CampaignRunner::run_trial_observed_with_makespan`] without a
-/// reference) falls back to it. The pool engine proves far more trials
-/// inert from the fault-free pass's per-SM [`BusyIntervals`]
-/// ([`BusyIntervals::proves_not_activated`], which implies this check),
-/// and a window that closes before the makespan without corrupting
-/// anything stops the simulation at its end instead (README, *Inert-fault
-/// early exit*; [`CampaignRunner::run_trial_observed_with_makespan`]).
+/// reference). [`BusyIntervals::proves_not_activated`] implies it.
 pub fn trivially_not_activated(
     model: FaultModel,
     fault_free_makespan: u64,
@@ -543,9 +576,9 @@ pub fn trivially_not_activated(
 /// block's interval on that block's SM, and until the first corrupted value
 /// a trial's schedule is the fault-free one. So a value-corruption model
 /// whose window meets no interval of the SMs it targets corrupts nothing:
-/// its trial *is* the fault-free run. Built once per cell by the
-/// fault-free pass ([`dry_run_busy`], [`crate::checkpoint::record_reference`]);
-/// each lookup is a binary search.
+/// its trial *is* the fault-free run. Built once per cell by its
+/// fault-free pass ([`dry_run_busy`], [`crate::checkpoint::record_reference`],
+/// a pipeline cell's fault-free mission); each lookup is a binary search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BusyIntervals {
     makespan: u64,
@@ -623,13 +656,9 @@ impl BusyIntervals {
 }
 
 /// The synthesized [`TrialObservables`] of a trial decided without
-/// simulating it ([`trivially_not_activated`],
-/// [`BusyIntervals::proves_not_activated`]): the run ends at the fault-free
-/// makespan, nothing activated, nothing was cut, and — since no simulation
-/// ran — no snapshot restores were performed, so a checkpointed trial
-/// skipped this way reports 0 restores where its simulation would report
-/// some (checkpointed engines honestly report the replay work they
-/// *saved*).
+/// simulating it: it ends at the fault-free makespan, nothing activated,
+/// nothing was cut, and no snapshot was restored (a checkpointed trial
+/// skipped this way reports 0 restores where its simulation reports some).
 fn trivial_observables(model: FaultModel, fault_free_makespan: u64) -> TrialObservables {
     TrialObservables {
         end_cycle: fault_free_makespan,
@@ -638,37 +667,6 @@ fn trivial_observables(model: FaultModel, fault_free_makespan: u64) -> TrialObse
         deadline_cut: false,
         restores: 0,
         restore_skipped_cycles: 0,
-    }
-}
-
-/// Order-independent accumulator of trial outcomes; summing per-worker
-/// accumulators is the campaign's deterministic reduction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct OutcomeCounts {
-    not_activated: u32,
-    masked: u32,
-    detected: u32,
-    corrected: u32,
-    undetected: u32,
-}
-
-impl OutcomeCounts {
-    fn add(&mut self, outcome: TrialOutcome) {
-        match outcome {
-            TrialOutcome::NotActivated => self.not_activated += 1,
-            TrialOutcome::Masked => self.masked += 1,
-            TrialOutcome::Detected => self.detected += 1,
-            TrialOutcome::Corrected => self.corrected += 1,
-            TrialOutcome::UndetectedFailure => self.undetected += 1,
-        }
-    }
-
-    fn merge(&mut self, other: OutcomeCounts) {
-        self.not_activated += other.not_activated;
-        self.masked += other.masked;
-        self.detected += other.detected;
-        self.corrected += other.corrected;
-        self.undetected += other.undetected;
     }
 }
 
@@ -695,12 +693,11 @@ pub struct TrialObservables {
 
 /// Cycle-domain telemetry aggregated over a campaign's trials.
 ///
-/// Collected by every engine with plain field updates (fixed-size arrays —
-/// no allocation, no wall time) and merged across workers with the
-/// order-independent [`CycleHistogram::merge`], so the aggregate is
-/// bit-identical at every worker count. Deliberately **not** part of
-/// [`CampaignReport`]: reports are the determinism fence and stay exactly
-/// as comparable as before.
+/// Collected by the cell engine with plain field updates (fixed-size
+/// arrays — no allocation, no wall time) in any trial order, so the
+/// aggregate is bit-identical at every worker count. Deliberately **not**
+/// part of [`CampaignReport`]: reports are the determinism fence and stay
+/// exactly as comparable as before.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignTelemetry {
     /// End cycles of all trials (deadline-cut trials end at the cut).
@@ -717,17 +714,6 @@ pub struct CampaignTelemetry {
 }
 
 impl CampaignTelemetry {
-    /// Folds `other` in; element-wise, so any merge order over the same
-    /// trial set yields the same aggregate.
-    pub fn merge(&mut self, other: &Self) {
-        self.makespans.merge(&other.makespans);
-        self.detection_latency.merge(&other.detection_latency);
-        self.corrupted_terminating
-            .merge(&other.corrupted_terminating);
-        self.restores += other.restores;
-        self.restore_skipped_cycles += other.restore_skipped_cycles;
-    }
-
     fn record(&mut self, outcome: TrialOutcome, obs: TrialObservables) {
         self.makespans.record(obs.end_cycle);
         if outcome == TrialOutcome::Detected {
@@ -1052,17 +1038,14 @@ enum TrialFailure<E> {
     Panic(Box<dyn Any + Send>),
 }
 
-/// The campaign worker pool shared by the workload and pipeline campaign
-/// engines: runs `trial(&mut worker, i)` for every trial index `i` in
-/// `0..total` and returns `finish(worker)` of every worker, for the
-/// caller's order-independent reduction.
+/// The worker pool of [`run_cell`]: runs `trial(&mut worker, i)` for every
+/// index `i` in `0..total`.
 ///
 /// `workers` is capped at `total` and raised to 1. One worker runs every
 /// trial in the calling thread, in index order; more spawn that many scoped
 /// threads that claim guided-self-scheduling chunks of indices from a
-/// shared cursor. Each worker builds its own state with `new_worker`
-/// (typically a reusable runner plus its accumulators), so the state never
-/// crosses threads.
+/// shared cursor. Each worker builds its own state with `new_worker` (a
+/// reusable runner), so the state never crosses threads.
 ///
 /// # Errors
 ///
@@ -1071,20 +1054,16 @@ enum TrialFailure<E> {
 /// lowest failure seen so far, so every trial below it still runs. A
 /// panicking trial counts as a failure at its index and is re-raised with
 /// its original payload when it is the lowest one.
-pub fn run_pool<W, A: Send, E: Send>(
+fn run_pool<W, E: Send>(
     total: usize,
     workers: usize,
     new_worker: impl Fn() -> W + Sync,
     trial: impl Fn(&mut W, usize) -> Result<(), E> + Sync,
-    finish: impl Fn(W) -> A + Sync,
-) -> Result<Vec<A>, E> {
+) -> Result<(), E> {
     let workers = workers.min(total).max(1);
     if workers == 1 {
         let mut worker = new_worker();
-        for i in 0..total {
-            trial(&mut worker, i)?;
-        }
-        return Ok(vec![finish(worker)]);
+        return (0..total).try_for_each(|i| trial(&mut worker, i));
     }
 
     let next = AtomicUsize::new(0);
@@ -1096,7 +1075,7 @@ pub fn run_pool<W, A: Send, E: Send>(
             for i in range {
                 // Claims only grow, so every later index is skippable too.
                 if i > lowest_failed.load(Ordering::Relaxed) {
-                    return Ok(finish(worker));
+                    return None;
                 }
                 // A worker whose trial panicked returns at once and never
                 // touches its state again, so the state's unwind safety
@@ -1107,67 +1086,129 @@ pub fn run_pool<W, A: Send, E: Send>(
                     Err(payload) => TrialFailure::Panic(payload),
                 };
                 lowest_failed.fetch_min(i, Ordering::Relaxed);
-                return Err((i, failure));
+                return Some((i, failure));
             }
         }
-        Ok(finish(worker))
+        None
     };
-    let results: Vec<Result<A, (usize, TrialFailure<E>)>> = std::thread::scope(|scope| {
+    let failures: Vec<(usize, TrialFailure<E>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
         handles
             .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .filter_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     });
-
-    let mut done = Vec::with_capacity(workers);
-    let mut first_failure: Option<(usize, TrialFailure<E>)> = None;
-    for r in results {
-        match r {
-            Ok(a) => done.push(a),
-            Err((i, f)) => {
-                if first_failure.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                    first_failure = Some((i, f));
-                }
-            }
-        }
-    }
-    match first_failure {
-        None => Ok(done),
+    match failures.into_iter().min_by_key(|&(i, _)| i) {
+        None => Ok(()),
         Some((_, TrialFailure::Error(e))) => Err(e),
         Some((_, TrialFailure::Panic(payload))) => resume_unwind(payload),
     }
 }
 
-fn empty_report(
-    cfg: &CampaignConfig,
-    mode: &RedundancyMode,
-    spec: FaultSpec,
-    workload: &dyn RedundantWorkload,
-    fault_free_makespan: u64,
-) -> CampaignReport {
-    CampaignReport {
-        workload: workload.name().to_string(),
-        policy: mode.policy_kind().label().to_string(),
-        fault: spec.label(),
-        replicas: mode.replicas(),
-        fault_free_makespan,
-        trials: cfg.trials,
-        not_activated: 0,
-        masked: 0,
-        detected: 0,
-        corrected: 0,
-        undetected: 0,
-    }
+/// What a campaign cell's subject — a workload under a redundancy mode, or
+/// a pipeline's frames and limp-home missions — supplies to [`run_cell`]:
+/// its fault-free pass's record, a per-worker runner, and how to count one
+/// trial into its report.
+pub trait CellSubject: Sync {
+    /// One worker's reusable state (a device, memo tables).
+    type Runner;
+    /// What one trial leaves to count.
+    type Trial;
+    /// The cell's accumulator (its report): a sum of order-independent
+    /// counts.
+    type Tally: Send;
+    /// A trial's error.
+    type Error: Send;
+
+    /// The trial record of the fault-free pass: what every model the pass
+    /// proves idle counts as.
+    fn fault_free(&self) -> &Self::Trial;
+    /// A fresh per-worker runner.
+    fn runner(&self) -> Self::Runner;
+    /// Simulates one trial of `model` on `runner`.
+    ///
+    /// # Errors
+    ///
+    /// The subject's device or protocol errors.
+    fn run(&self, runner: &mut Self::Runner, model: FaultModel)
+        -> Result<Self::Trial, Self::Error>;
+    /// The cell's report with nothing counted yet.
+    fn tally(&self) -> Self::Tally;
+    /// Counts one trial into `tally`.
+    fn count(tally: &mut Self::Tally, trial: &Self::Trial);
 }
 
-fn finish_report(mut report: CampaignReport, counts: OutcomeCounts) -> CampaignReport {
-    report.not_activated = counts.not_activated;
-    report.masked = counts.masked;
-    report.detected = counts.detected;
-    report.corrected = counts.corrected;
-    report.undetected = counts.undetected;
-    report
+/// The distinct models of `models` in first-occurrence order, each with the
+/// number of times it was drawn. The first occurrence is the lowest trial
+/// index of its model, so the pool's lowest-failing-index error rule picks
+/// the same model it would over the full list.
+fn distinct_models(models: &[FaultModel]) -> Vec<(FaultModel, u32)> {
+    let mut index: HashMap<FaultModel, usize> = HashMap::with_capacity(models.len());
+    let mut distinct: Vec<(FaultModel, u32)> = Vec::with_capacity(models.len());
+    for &model in models {
+        match index.entry(model) {
+            Entry::Occupied(e) => distinct[*e.get()].1 += 1,
+            Entry::Vacant(e) => {
+                e.insert(distinct.len());
+                distinct.push((model, 1));
+            }
+        }
+    }
+    distinct
+}
+
+/// The campaign cell engine: counts one trial per drawn model of `models`
+/// into the subject's tally, on a pool of `workers` threads.
+///
+/// Equal models are equal trials, so each distinct model is decided once
+/// and counted as often as it was drawn. A model the fault-free pass's
+/// `busy` intervals prove idle under the watchdog `deadline`
+/// ([`BusyIntervals::proves_not_activated`]) *is* the fault-free run: it
+/// counts as [`CellSubject::fault_free`] and is never simulated. Every
+/// other distinct model runs once on some worker's runner and is counted
+/// into the one tally as it finishes. Each trial is a pure function of its
+/// model and every count is order-independent, so the tally is
+/// bit-identical at every worker count, and to a serial loop that runs
+/// every trial.
+///
+/// # Errors
+///
+/// The error of the lowest-numbered failing trial, at every worker count;
+/// a panicking trial is re-raised.
+pub fn run_cell<S: CellSubject>(
+    subject: &S,
+    models: &[FaultModel],
+    busy: &BusyIntervals,
+    deadline: Option<u64>,
+    workers: usize,
+) -> Result<S::Tally, S::Error> {
+    let mut tally = subject.tally();
+    let mut models = distinct_models(models);
+    models.retain(|&(model, drawn)| {
+        let idle = busy.proves_not_activated(model, deadline);
+        if idle {
+            for _ in 0..drawn {
+                S::count(&mut tally, subject.fault_free());
+            }
+        }
+        !idle
+    });
+    let tally = Mutex::new(tally);
+    run_pool(
+        models.len(),
+        workers,
+        || subject.runner(),
+        |runner, i| {
+            let (model, drawn) = models[i];
+            let trial = subject.run(runner, model)?;
+            let mut tally = tally.lock().expect("counting never panics");
+            for _ in 0..drawn {
+                S::count(&mut tally, &trial);
+            }
+            Ok(())
+        },
+    )?;
+    Ok(tally.into_inner().expect("counting never panics"))
 }
 
 /// The reference serial engine: one freshly constructed device per trial,
@@ -1187,17 +1228,13 @@ pub fn run_campaign_serial(
 ) -> Result<CampaignReport, RedundancyError> {
     let window_end = dry_run_makespan(cfg, mode, workload)?;
     let deadline = Some(ftti_deadline(window_end, workload.ftti_multiplier()));
-    let models = draw_models(cfg, spec, window_end);
-    let mut counts = OutcomeCounts::default();
-    for model in models {
+    let mut report = CampaignReport::empty(cfg, mode, spec, workload, window_end);
+    for model in draw_models(cfg, spec, window_end) {
         let (outcome, _) =
             CampaignRunner::new(cfg).run_trial_observed(mode, workload, model, deadline, None)?;
-        counts.add(outcome);
+        report.add(outcome);
     }
-    Ok(finish_report(
-        empty_report(cfg, mode, spec, workload, window_end),
-        counts,
-    ))
+    Ok(report)
 }
 
 /// Runs a full campaign — `cfg.trials` randomized injections of `spec` into
@@ -1222,23 +1259,64 @@ pub fn run_campaign_with_perf(
     run_campaign_engine(cfg, mode, spec, workload).map(|(report, perf, _)| (report, perf))
 }
 
-/// The distinct models of `models` in first-occurrence order, each with the
-/// number of times it was drawn. The first occurrence is the lowest trial
-/// index of its model, so the pool's lowest-failing-index error rule picks
-/// the same model it would over the full list.
-fn distinct_models(models: &[FaultModel]) -> Vec<(FaultModel, u32)> {
-    let mut index: HashMap<FaultModel, usize> = HashMap::with_capacity(models.len());
-    let mut distinct: Vec<(FaultModel, u32)> = Vec::with_capacity(models.len());
-    for &model in models {
-        match index.entry(model) {
-            Entry::Occupied(e) => distinct[*e.get()].1 += 1,
-            Entry::Vacant(e) => {
-                e.insert(distinct.len());
-                distinct.push((model, 1));
-            }
-        }
+/// A workload cell as a [`CellSubject`]: each trial runs on a reusable
+/// [`CampaignRunner`] with the early exit and, with a `reference`,
+/// checkpointed replay, and counts into the report, the telemetry and the
+/// simulated cost.
+struct WorkloadCell<'a> {
+    cfg: &'a CampaignConfig,
+    mode: &'a RedundancyMode,
+    workload: &'a dyn RedundantWorkload,
+    reference: Option<&'a ReferenceRun>,
+    deadline: Option<u64>,
+    report: CampaignReport,
+    fault_free: (TrialOutcome, TrialObservables, CampaignPerf),
+}
+
+impl CellSubject for WorkloadCell<'_> {
+    type Runner = CampaignRunner;
+    type Trial = (TrialOutcome, TrialObservables, CampaignPerf);
+    type Tally = (CampaignReport, CampaignTelemetry, CampaignPerf);
+    type Error = RedundancyError;
+
+    fn fault_free(&self) -> &Self::Trial {
+        &self.fault_free
     }
-    distinct
+
+    fn runner(&self) -> CampaignRunner {
+        CampaignRunner::new(self.cfg)
+    }
+
+    fn run(
+        &self,
+        runner: &mut CampaignRunner,
+        model: FaultModel,
+    ) -> Result<Self::Trial, RedundancyError> {
+        let before = runner.perf();
+        let (outcome, obs) = runner.run_trial_observed_with_makespan(
+            self.mode,
+            self.workload,
+            model,
+            self.deadline,
+            self.reference,
+            self.report.fault_free_makespan,
+        )?;
+        Ok((outcome, obs, runner.perf().since(before)))
+    }
+
+    fn tally(&self) -> Self::Tally {
+        (
+            self.report.clone(),
+            CampaignTelemetry::default(),
+            CampaignPerf::default(),
+        )
+    }
+
+    fn count((report, telemetry, perf): &mut Self::Tally, &(outcome, obs, cost): &Self::Trial) {
+        report.add(outcome);
+        telemetry.record(outcome, obs);
+        perf.merge(cost);
+    }
 }
 
 fn run_campaign_engine(
@@ -1253,74 +1331,32 @@ fn run_campaign_engine(
         .checkpoint
         .map(|ck| record_reference(cfg, mode, workload, ck.stride))
         .transpose()?;
-    let dry_run;
     let busy = match &reference {
-        Some(reference) => reference.busy(),
-        None => {
-            dry_run = dry_run_busy(cfg, mode, workload)?;
-            &dry_run
-        }
+        Some(reference) => reference.busy().clone(),
+        None => dry_run_busy(cfg, mode, workload)?,
     };
-    let reference = reference.as_ref();
-    let window_end = busy.makespan();
-    let deadline = Some(ftti_deadline(window_end, workload.ftti_multiplier()));
-    let mut models = distinct_models(&draw_models(cfg, spec, window_end));
-    let report = empty_report(cfg, mode, spec, workload, window_end);
-    // A model drawn n times adds its outcome, observables and simulated
-    // cost n times, exactly as n simulations of it would. Models the
-    // fault-free busy intervals prove inert are the fault-free run: they
-    // are counted here, at no simulated cost, and never reach a worker.
-    let mut counts = OutcomeCounts::default();
-    let mut telemetry = CampaignTelemetry::default();
-    models.retain(|&(model, drawn)| {
-        let idle = busy.proves_not_activated(model, deadline);
-        if idle {
-            for _ in 0..drawn {
-                counts.add(TrialOutcome::NotActivated);
-                telemetry.record(
-                    TrialOutcome::NotActivated,
-                    trivial_observables(model, window_end),
-                );
-            }
-        }
-        !idle
-    });
-    // Each worker owns one reusable device and order-independent
-    // accumulators; summing them is the deterministic reduction.
-    let parts = run_pool(
-        models.len(),
-        cfg.resolved_workers(),
-        || {
-            (
-                CampaignRunner::new(cfg),
-                OutcomeCounts::default(),
-                CampaignTelemetry::default(),
-                CampaignPerf::default(),
-            )
-        },
-        |(runner, counts, telemetry, perf), i| {
-            let (model, drawn) = models[i];
-            let before = runner.perf();
-            let (outcome, obs) = runner.run_trial_observed_with_makespan(
-                mode, workload, model, deadline, reference, window_end,
-            )?;
-            let cost = runner.perf().since(before);
-            for _ in 0..drawn {
-                counts.add(outcome);
-                telemetry.record(outcome, obs);
-                perf.merge(cost);
-            }
-            Ok::<_, RedundancyError>(())
-        },
-        |(_, counts, telemetry, perf)| (counts, perf, telemetry),
-    )?;
-    let mut perf = CampaignPerf::default();
-    for (c, p, t) in parts {
-        counts.merge(c);
-        perf.merge(p);
-        telemetry.merge(&t);
-    }
-    Ok((finish_report(report, counts), perf, telemetry))
+    let makespan = busy.makespan();
+    let deadline = Some(ftti_deadline(makespan, workload.ftti_multiplier()));
+    let cell = WorkloadCell {
+        cfg,
+        mode,
+        workload,
+        reference: reference.as_ref(),
+        deadline,
+        report: CampaignReport::empty(cfg, mode, spec, workload, makespan),
+        fault_free: (
+            TrialOutcome::NotActivated,
+            TrialObservables {
+                end_cycle: makespan,
+                ..TrialObservables::default()
+            },
+            CampaignPerf::default(),
+        ),
+    };
+    let models = draw_models(cfg, spec, makespan);
+    let (report, telemetry, perf) =
+        run_cell(&cell, &models, &busy, deadline, cfg.resolved_workers())?;
+    Ok((report, perf, telemetry))
 }
 
 /// Runs a campaign described by a [`CampaignSpec`], resolving the workload
@@ -1861,7 +1897,6 @@ mod tests {
                         Ok(())
                     }
                 },
-                |_| (),
             );
             assert_eq!(result, Err(3), "at {workers} workers");
             for (i, n) in ran.iter().enumerate().take(4) {
@@ -1877,19 +1912,22 @@ mod tests {
     #[test]
     fn pool_reduces_every_worker_and_reraises_trial_panics() {
         for workers in [1usize, 2, 8] {
-            let sums = run_pool(
-                100,
+            // Every trial runs exactly once, whichever worker claims it.
+            let ran: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+            run_pool(
+                ran.len(),
                 workers,
-                || 0usize,
-                |sum, i| {
-                    *sum += i;
+                || (),
+                |(), i| {
+                    ran[i].fetch_add(1, Ordering::Relaxed);
                     Ok::<(), ()>(())
                 },
-                |sum| sum,
             )
             .expect("no trial fails");
-            assert_eq!(sums.len(), workers);
-            assert_eq!(sums.iter().sum::<usize>(), 4950, "at {workers} workers");
+            assert!(
+                ran.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+                "at {workers} workers"
+            );
 
             let payload = catch_unwind(|| {
                 run_pool(
@@ -1900,7 +1938,6 @@ mod tests {
                         assert!(i != 5, "trial {i} exploded");
                         Ok::<(), ()>(())
                     },
-                    |()| (),
                 )
             })
             .expect_err("the trial panic must propagate");

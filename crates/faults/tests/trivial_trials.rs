@@ -15,10 +15,10 @@
 //!   at 1, 2 and 8 workers is per-trial bit-identical to the unskipped
 //!   serial sweep of the same models.
 
-use higpu_core::redundancy::{RedundancyError, RedundancyMode};
+use higpu_core::redundancy::RedundancyMode;
 use higpu_faults::campaign::{
-    dry_run_makespan, ftti_deadline, run_pool, trivially_not_activated, CampaignConfig,
-    CampaignRunner, TrialObservables, TrialOutcome,
+    dry_run_makespan, ftti_deadline, trivially_not_activated, CampaignConfig, CampaignRunner,
+    TrialObservables, TrialOutcome,
 };
 use higpu_faults::model::FaultModel;
 use higpu_faults::workload::{IteratedFma, RedundantWorkload};
@@ -135,8 +135,9 @@ fn skipped_trial_matches_the_simulated_one_at_the_boundary() {
 }
 
 /// Runs `models` through the fast-path-aware runner entry point on
-/// `workers` threads using the campaign engines' worker pool; returns
-/// per-trial `(outcome, observables)` indexed by trial.
+/// `workers` threads, worker `w` taking every trial `i` with
+/// `i % workers == w` on its own reused runner; returns per-trial
+/// `(outcome, observables)` indexed by trial.
 fn sweep(
     cfg: &CampaignConfig,
     models: &[FaultModel],
@@ -146,20 +147,31 @@ fn sweep(
     let wl = workload();
     let mode = mode();
     let deadline = Some(ftti_deadline(makespan, wl.ftti_multiplier()));
-    let parts = run_pool(
-        models.len(),
-        workers,
-        || (CampaignRunner::new(cfg), Vec::new()),
-        |(runner, done), i| {
-            let trial = runner.run_trial_observed_with_makespan(
-                &mode, &wl, models[i], deadline, None, makespan,
-            )?;
-            done.push((i, trial));
-            Ok::<_, RedundancyError>(())
-        },
-        |(_, done)| done,
-    )
-    .expect("trial");
+    let parts: Vec<Vec<(usize, (TrialOutcome, TrialObservables))>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (wl, mode) = (&wl, &mode);
+                s.spawn(move || {
+                    let mut runner = CampaignRunner::new(cfg);
+                    (w..models.len())
+                        .step_by(workers)
+                        .map(|i| {
+                            let trial = runner
+                                .run_trial_observed_with_makespan(
+                                    mode, wl, models[i], deadline, None, makespan,
+                                )
+                                .expect("trial");
+                            (i, trial)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker"))
+            .collect()
+    });
     let mut results = vec![None; models.len()];
     for (i, trial) in parts.into_iter().flatten() {
         results[i] = Some(trial);

@@ -14,14 +14,17 @@
 //!   unrecoverable detection or a blown end-to-end FTTI): safe, but the
 //!   function is lost for this frame.
 //!
-//! The engine shares `higpu_faults::campaign`'s design and its worker
-//! pool ([`higpu_faults::campaign::run_pool`]): pre-drawn models, reusable
-//! per-worker devices and an order-independent count reduction, so the
-//! report is bit-identical at every worker count
-//! ([`run_pipeline_campaign_serial`] is the one-worker reference). The pool
-//! engine also resumes each limp-home mission at the last fault-free frame
-//! entry before its fault arms, from prefixes recorded once per cell; the
-//! reference runs every mission from cycle 0.
+//! A cell runs on the campaign cell engine of `higpu_faults::campaign`
+//! ([`higpu_faults::campaign::run_cell`]), as workload cells do: pre-drawn
+//! models, each distinct model decided once on reusable per-worker
+//! devices, and an order-independent count reduction, so the report is
+//! bit-identical at every worker count ([`run_pipeline_campaign_serial`]
+//! is the one-worker reference). The cell's one fault-free mission supplies
+//! the frame makespan, the per-SM busy intervals that prove a model's
+//! window idle (such a model counts as that mission, `NotActivated`,
+//! without running) and the frame entries each limp-home mission resumes
+//! from, the last one before its fault arms. The reference runs every
+//! trial from cycle 0.
 
 use crate::exec::{
     plan, run_pipeline, ExecMode, FrameOptions, PipelineError, PipelinePlan, PipelineRun,
@@ -29,18 +32,20 @@ use crate::exec::{
 };
 use crate::graph::{Pipeline, PipelineRegistry};
 use crate::limp::{
-    record_frame_prefixes, run_limp_home_with, DegradedPlans, FramePrefix, FrameStatus,
-    LimpHomeReport,
+    e2e_budget, record_fault_free_mission, run_limp_home_with, DegradedPlans, FramePrefix,
+    FrameStatus, LimpHomeReport,
 };
 use higpu_core::diversity::{analyze, DiversityRequirements};
 use higpu_core::policy::PolicyKind;
 use higpu_core::redundancy::{RedundancyError, RedundancyMode};
 use higpu_core::safety_case::DetectionEvidence;
 use higpu_faults::campaign::{
-    draw_models, policy_mode, run_pool, CampaignConfig, CampaignError, FaultSpec,
+    draw_models, policy_mode, run_cell, BusyIntervals, CampaignConfig, CampaignError, CellSubject,
+    FaultSpec,
 };
 use higpu_faults::injector::{FaultInjector, InjectionCounters};
 use higpu_faults::model::FaultModel;
+use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::{Gpu, SimError};
 use higpu_workloads::{Scale, SessionError};
 use std::fmt;
@@ -170,7 +175,7 @@ pub enum PipelineTrialOutcome {
 
 /// Aggregated pipeline campaign results. All counts are order-independent
 /// sums, so serial and parallel engines agree bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineCampaignReport {
     /// Pipeline name.
     pub pipeline: String,
@@ -241,6 +246,39 @@ pub struct PipelineCampaignReport {
 }
 
 impl PipelineCampaignReport {
+    /// Counts one trial.
+    fn add(&mut self, outcome: PipelineTrialOutcome, record: &TrialRecord) {
+        *match outcome {
+            PipelineTrialOutcome::NotActivated => &mut self.not_activated,
+            PipelineTrialOutcome::Masked => &mut self.masked,
+            PipelineTrialOutcome::Corrected => &mut self.corrected,
+            PipelineTrialOutcome::Recovered => &mut self.recovered,
+            PipelineTrialOutcome::Detected => &mut self.detected,
+            PipelineTrialOutcome::Quarantined => &mut self.quarantined,
+            PipelineTrialOutcome::LimpHomeMiss => &mut self.limp_home_miss,
+            PipelineTrialOutcome::UndetectedFailure => &mut self.undetected,
+        } += 1;
+        let mut add_run = |run: &PipelineRun| {
+            self.deadline_miss += u32::from(run.deadline_miss);
+            self.retries_attempted += run.retries_attempted;
+            self.retries_failed += run.retries_failed;
+            self.no_slack += run.no_slack_failures;
+        };
+        match record {
+            TrialRecord::Frame(run) => add_run(run),
+            TrialRecord::Mission(rep) => {
+                rep.frames
+                    .iter()
+                    .filter_map(|f| f.run.as_ref())
+                    .for_each(add_run);
+                self.degraded_frames += rep.degraded_frames();
+                self.degraded_makespan_sum += rep.degraded_makespan_sum();
+                self.frames_to_diagnosis_sum += rep.frames_to_diagnosis().unwrap_or(0);
+                self.limp_deadline_miss += rep.limp_deadline_misses();
+            }
+        }
+    }
+
     /// The fail-operational recovery rate: trials the mechanism kept
     /// operational (in-FTTI recovery, or quarantine + limp-home) over all
     /// trials in which it *acted* (those plus fail-stops and broken
@@ -369,84 +407,6 @@ impl From<PipelineError> for PipelineCampaignError {
     }
 }
 
-/// Order-independent accumulator of pipeline trial outcomes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct PipelineCounts {
-    not_activated: u32,
-    masked: u32,
-    corrected: u32,
-    recovered: u32,
-    detected: u32,
-    undetected: u32,
-    deadline_miss: u32,
-    retries_attempted: u32,
-    retries_failed: u32,
-    no_slack: u32,
-    quarantined: u32,
-    limp_home_miss: u32,
-    degraded_frames: u32,
-    degraded_makespan_sum: u64,
-    frames_to_diagnosis_sum: u32,
-    limp_deadline_miss: u32,
-}
-
-impl PipelineCounts {
-    fn add_outcome(&mut self, outcome: PipelineTrialOutcome) {
-        match outcome {
-            PipelineTrialOutcome::NotActivated => self.not_activated += 1,
-            PipelineTrialOutcome::Masked => self.masked += 1,
-            PipelineTrialOutcome::Corrected => self.corrected += 1,
-            PipelineTrialOutcome::Recovered => self.recovered += 1,
-            PipelineTrialOutcome::Detected => self.detected += 1,
-            PipelineTrialOutcome::Quarantined => self.quarantined += 1,
-            PipelineTrialOutcome::LimpHomeMiss => self.limp_home_miss += 1,
-            PipelineTrialOutcome::UndetectedFailure => self.undetected += 1,
-        }
-    }
-
-    fn add_run(&mut self, run: &PipelineRun) {
-        self.deadline_miss += u32::from(run.deadline_miss);
-        self.retries_attempted += run.retries_attempted;
-        self.retries_failed += run.retries_failed;
-        self.no_slack += run.no_slack_failures;
-    }
-
-    fn add(&mut self, outcome: PipelineTrialOutcome, run: &PipelineRun) {
-        self.add_outcome(outcome);
-        self.add_run(run);
-    }
-
-    fn add_limp(&mut self, outcome: PipelineTrialOutcome, rep: &LimpHomeReport) {
-        self.add_outcome(outcome);
-        for run in rep.frames.iter().filter_map(|f| f.run.as_ref()) {
-            self.add_run(run);
-        }
-        self.degraded_frames += rep.degraded_frames();
-        self.degraded_makespan_sum += rep.degraded_makespan_sum();
-        self.frames_to_diagnosis_sum += rep.frames_to_diagnosis().unwrap_or(0);
-        self.limp_deadline_miss += rep.limp_deadline_misses();
-    }
-
-    fn merge(&mut self, o: PipelineCounts) {
-        self.not_activated += o.not_activated;
-        self.masked += o.masked;
-        self.corrected += o.corrected;
-        self.recovered += o.recovered;
-        self.detected += o.detected;
-        self.undetected += o.undetected;
-        self.deadline_miss += o.deadline_miss;
-        self.retries_attempted += o.retries_attempted;
-        self.retries_failed += o.retries_failed;
-        self.no_slack += o.no_slack;
-        self.quarantined += o.quarantined;
-        self.limp_home_miss += o.limp_home_miss;
-        self.degraded_frames += o.degraded_frames;
-        self.degraded_makespan_sum += o.degraded_makespan_sum;
-        self.frames_to_diagnosis_sum += o.frames_to_diagnosis_sum;
-        self.limp_deadline_miss += o.limp_deadline_miss;
-    }
-}
-
 /// A reusable pipeline trial executor: one device, rewound between frames.
 #[derive(Debug)]
 pub struct PipelineCampaignRunner {
@@ -510,9 +470,10 @@ impl PipelineCampaignRunner {
     /// `NotActivated` with an empty report.
     ///
     /// Every mission runs from cycle 0. This is the oracle the campaign
-    /// engine's frame-boundary fast-forward is fenced against: the engine
-    /// resumes each mission at the last fault-free frame entry before the
-    /// fault arms (README, *Frame-boundary fast-forward*).
+    /// engine's skips are fenced against: the engine counts a model whose
+    /// window the fault-free mission proves idle as that mission, and
+    /// resumes every other mission at the last fault-free frame entry before
+    /// the fault arms (README, *Frame-boundary fast-forward*).
     ///
     /// # Errors
     ///
@@ -541,7 +502,7 @@ impl PipelineCampaignRunner {
     /// [`Self::run_limp_trial`] with degraded plans taken from (and added
     /// to) `plans`, which must belong to this `(pipeline, mode)` cell, and
     /// resumed from the latest of the cell's fault-free `prefixes` (see
-    /// [`record_frame_prefixes`]) whose frame entry is at or before the
+    /// [`record_fault_free_mission`]) whose frame entry is at or before the
     /// model's arm cycle. The fault corrupts nothing before it arms, so
     /// the mission up to that entry is the fault-free one.
     #[allow(clippy::too_many_arguments)] // the public trial's inputs plus memo and prefixes
@@ -585,11 +546,9 @@ impl PipelineCampaignRunner {
 
     /// Rewinds the device, installs `model`'s injector and arms the
     /// inert-fault cutoff at the model's window end (both survive a later
-    /// [`Gpu::restore`]; see the README's
-    /// *Inert-fault early exit*). A mission or frame that reaches it without
-    /// a corruption is the fault-free one from there on, and a fault-free
-    /// frame runs inside its calibrated budgets: it misses no deadline,
-    /// retries nothing and convicts no SM. So an exited trial is
+    /// [`Gpu::restore`]; README, *Inert-fault early exit*). A trial that
+    /// reaches it uncorrupted is the fault-free one from there on, which
+    /// misses no deadline, retries nothing and convicts no SM, so it is
     /// `NotActivated` with an empty record that adds nothing to the counts
     /// (fenced by `crates/pipeline/tests/inert_exit.rs` against full runs).
     fn arm(&mut self, model: FaultModel) -> Arc<InjectionCounters> {
@@ -652,10 +611,16 @@ fn classify_limp(
     {
         return PipelineTrialOutcome::Detected;
     }
-    let runs = || rep.frames.iter().filter_map(|f| f.run.as_ref());
-    if runs().any(|r| r.recovered_stages() > 0) {
+    delivered(rep.frames.iter().filter_map(|f| f.run.as_ref()))
+}
+
+/// The outcome of frames that delivered verified outputs: recovered if a
+/// stage was re-executed, corrected if a vote outvoted a corruption,
+/// masked otherwise.
+fn delivered<'a>(mut runs: impl Iterator<Item = &'a PipelineRun> + Clone) -> PipelineTrialOutcome {
+    if runs.clone().any(|r| r.recovered_stages() > 0) {
         PipelineTrialOutcome::Recovered
-    } else if runs().any(|r| r.corrected_stages() > 0 || r.corrected_reads > 0) {
+    } else if runs.any(|r| r.corrected_stages() > 0 || r.corrected_reads > 0) {
         PipelineTrialOutcome::Corrected
     } else {
         PipelineTrialOutcome::Masked
@@ -706,177 +671,182 @@ fn classify(
     if !outputs_verify(pipeline, run) {
         return PipelineTrialOutcome::UndetectedFailure;
     }
-    if run.recovered_stages() > 0 {
-        PipelineTrialOutcome::Recovered
-    } else if run.corrected_stages() > 0 || run.corrected_reads > 0 {
-        PipelineTrialOutcome::Corrected
-    } else {
-        PipelineTrialOutcome::Masked
-    }
+    delivered(std::iter::once(run))
 }
 
-struct ResolvedSpec {
+/// What one pipeline trial leaves to count.
+#[derive(Debug)]
+enum TrialRecord {
+    /// A single frame's run.
+    Frame(PipelineRun),
+    /// A limp-home mission's report.
+    Mission(LimpHomeReport),
+}
+
+type PipelineTrial = (PipelineTrialOutcome, TrialRecord);
+
+/// A resolved pipeline campaign cell: its pipeline, plan and drawn models,
+/// and what its one fault-free mission of `frames` frames recorded.
+struct PipelineCell {
+    gpu: GpuConfig,
     pipeline: Pipeline,
     mode: RedundancyMode,
     frame_plan: PipelinePlan,
     opts: FrameOptions,
-    /// Fault-free frame makespan under the cell's executor (the serial
-    /// calibration total for [`ExecMode::Serial`]; the overlapped — i.e.
-    /// critical-path — total otherwise).
-    frame_makespan: u64,
+    frames: u32,
+    misroute: bool,
     models: Vec<FaultModel>,
-    /// The fault-free mission's frame entries the trials resume from
-    /// (empty for single-frame cells and the from-zero reference engine).
+    /// The fault-free mission's frame entries 1..frames, which missions
+    /// resume from (none for the from-zero oracle).
     prefixes: Vec<FramePrefix>,
+    /// The fault-free mission's per-SM busy intervals.
+    busy: BusyIntervals,
+    /// The fault-free mission as a trial record.
+    fault_free: PipelineTrial,
+    /// The cell's report with nothing counted yet.
+    report: PipelineCampaignReport,
 }
 
-/// Resolves `spec` into the cell's pipeline, plan and models. With
-/// `fast_forward`, a multi-frame cell also records its fault-free mission's
-/// frame prefixes once, for every trial to resume from (a misroute arms at
-/// cycle 0, so its missions never do).
+/// Resolves `spec` into its cell. One fault-free mission of the cell's
+/// frames, on a fresh device, yields the frame makespan, the frame entries
+/// trials resume from and the busy intervals that prove fault windows idle.
+/// It runs without the inter-stage self-tests of misroute cells, whose
+/// models are never proved idle and arm at cycle 0, so they never resume.
 fn resolve(
     cfg: &CampaignConfig,
     reg: &PipelineRegistry,
     spec: &PipelineCampaignSpec,
-    fast_forward: bool,
-) -> Result<ResolvedSpec, PipelineCampaignError> {
+) -> Result<PipelineCell, PipelineCampaignError> {
     let pipeline = reg
         .build(&spec.pipeline, spec.scale)
         .ok_or_else(|| PipelineCampaignError::UnknownPipeline(spec.pipeline.clone()))?;
     let mode = policy_mode(spec.policy, spec.replicas, cfg.gpu.num_sms)?;
     let frame_plan = plan(&cfg.gpu, &pipeline, &mode)?;
     let opts = spec.frame_options();
-    // One fault-free frame under the cell's executor: its makespan is both
-    // the executor-comparison observable and the fault sampling window —
-    // fault times are drawn inside the frame the trials actually run,
-    // exactly as workload campaigns sample inside the redundant makespan.
-    let frame_makespan = if spec.exec == ExecMode::Serial {
-        frame_plan.fault_free_makespan
-    } else {
-        let mut gpu = Gpu::new(cfg.gpu.clone());
-        let no_bist = FrameOptions {
-            interstage_bist: false,
-            ..opts
-        };
-        run_pipeline(&mut gpu, &pipeline, &mode, &frame_plan, no_bist)?.end_cycle
+    let frames = spec.frames.max(1);
+    let no_bist = FrameOptions {
+        interstage_bist: false,
+        ..opts
     };
+    let (mission, prefixes, busy) = record_fault_free_mission(
+        &cfg.gpu,
+        &pipeline,
+        &mode,
+        &frame_plan,
+        no_bist,
+        frames as usize,
+    )?;
+    // The fault-free frame under the cell's executor: its makespan is both
+    // the executor-comparison observable and the fault sampling window.
     // Multi-frame missions draw the fault's arming time across the whole
-    // mission window (frames × the fault-free frame), so a permanent
-    // fault may manifest in any frame k and the remaining frames must
-    // limp home; single-frame cells keep the classic per-frame window
-    // (and therefore their exact historical draws).
-    let window = frame_makespan.saturating_mul(u64::from(spec.frames.max(1)));
-    let models = draw_models(cfg, spec.fault, window);
-    let prefixes = if fast_forward && spec.frames > 1 {
-        record_frame_prefixes(
-            &cfg.gpu,
-            &pipeline,
-            &mode,
-            &frame_plan,
-            opts,
-            spec.frames as usize,
-        )?
-    } else {
-        Vec::new()
+    // mission window (frames × the fault-free frame), so a permanent fault
+    // may manifest in any frame k and the remaining frames must limp home.
+    let frame_makespan = mission.frames[0].makespan();
+    let models = draw_models(
+        cfg,
+        spec.fault,
+        frame_makespan.saturating_mul(u64::from(frames)),
+    );
+    let report = PipelineCampaignReport {
+        pipeline: spec.pipeline.clone(),
+        policy: mode.policy_kind().label().to_string(),
+        fault: spec.fault.label(),
+        replicas: mode.replicas(),
+        exec: spec.exec.label(),
+        stages: pipeline.len() as u32,
+        fault_free_makespan: frame_makespan,
+        // The budget the cell's executor actually enforced.
+        e2e_deadline: e2e_budget(&frame_plan, opts),
+        serial_sum_deadline: frame_plan.ftti.serial_sum(),
+        bandwidth_bytes: frame_plan.frame_bandwidth_bytes,
+        trials: cfg.trials,
+        frames,
+        ..PipelineCampaignReport::default()
     };
-    Ok(ResolvedSpec {
+    Ok(PipelineCell {
+        gpu: cfg.gpu.clone(),
         pipeline,
         mode,
         frame_plan,
         opts,
-        frame_makespan,
+        frames,
+        misroute: matches!(spec.fault, FaultSpec::Misroute),
         models,
         prefixes,
+        busy,
+        // A one-frame mission counts exactly as its frame does.
+        fault_free: (
+            PipelineTrialOutcome::NotActivated,
+            TrialRecord::Mission(mission),
+        ),
+        report,
     })
 }
 
-fn finish_report(
-    spec: &PipelineCampaignSpec,
-    r: &ResolvedSpec,
-    trials: u32,
-    counts: PipelineCounts,
-) -> PipelineCampaignReport {
-    PipelineCampaignReport {
-        pipeline: spec.pipeline.clone(),
-        policy: r.mode.policy_kind().label().to_string(),
-        fault: spec.fault.label(),
-        replicas: r.mode.replicas(),
-        exec: spec.exec.label(),
-        stages: r.pipeline.len() as u32,
-        fault_free_makespan: r.frame_makespan,
-        // The budget the cell's executor actually enforced: the serial
-        // executor still owes every stage budget in sequence, so its
-        // deadline_miss counts are measured against the per-stage sum,
-        // while the overlapped executor enforces the critical path.
-        e2e_deadline: match spec.exec {
-            ExecMode::Serial => r.frame_plan.ftti.serial_sum(),
-            ExecMode::Overlapped => r.frame_plan.ftti.end_to_end(),
-        },
-        serial_sum_deadline: r.frame_plan.ftti.serial_sum(),
-        bandwidth_bytes: r.frame_plan.frame_bandwidth_bytes,
-        trials,
-        not_activated: counts.not_activated,
-        masked: counts.masked,
-        corrected: counts.corrected,
-        recovered: counts.recovered,
-        detected: counts.detected,
-        undetected: counts.undetected,
-        deadline_miss: counts.deadline_miss,
-        retries_attempted: counts.retries_attempted,
-        retries_failed: counts.retries_failed,
-        no_slack: counts.no_slack,
-        frames: spec.frames.max(1),
-        quarantined: counts.quarantined,
-        limp_home_miss: counts.limp_home_miss,
-        degraded_frames: counts.degraded_frames,
-        degraded_makespan_sum: counts.degraded_makespan_sum,
-        frames_to_diagnosis_sum: counts.frames_to_diagnosis_sum,
-        limp_deadline_miss: counts.limp_deadline_miss,
-    }
-}
+impl CellSubject for PipelineCell {
+    type Runner = (PipelineCampaignRunner, DegradedPlans);
+    type Trial = PipelineTrial;
+    type Tally = PipelineCampaignReport;
+    type Error = PipelineError;
 
-/// One trial under `spec` — a single frame or a limp-home mission —
-/// reduced to the order-independent counts.
-fn run_one_trial(
-    runner: &mut PipelineCampaignRunner,
-    plans: &mut DegradedPlans,
-    spec: &PipelineCampaignSpec,
-    resolved: &ResolvedSpec,
-    model: FaultModel,
-    counts: &mut PipelineCounts,
-) -> Result<(), PipelineError> {
-    if spec.frames > 1 {
-        let (outcome, rep) = runner.run_limp_trial_with(
-            &resolved.pipeline,
-            &resolved.mode,
-            &resolved.frame_plan,
-            resolved.opts,
-            spec.frames,
-            model,
-            plans,
-            &resolved.prefixes,
-        )?;
-        counts.add_limp(outcome, &rep);
-    } else {
-        let (outcome, run) = runner.run_trial(
-            &resolved.pipeline,
-            &resolved.mode,
-            &resolved.frame_plan,
-            resolved.opts,
-            matches!(spec.fault, FaultSpec::Misroute),
-            model,
-        )?;
-        counts.add(outcome, &run);
+    fn fault_free(&self) -> &PipelineTrial {
+        &self.fault_free
     }
-    Ok(())
+
+    fn runner(&self) -> Self::Runner {
+        let runner = PipelineCampaignRunner {
+            gpu: Gpu::new(self.gpu.clone()),
+        };
+        (runner, DegradedPlans::default())
+    }
+
+    /// One trial of `model`, a single frame or a limp-home mission resumed
+    /// from the latest prefix at or before its arm cycle.
+    fn run(
+        &self,
+        (runner, plans): &mut Self::Runner,
+        model: FaultModel,
+    ) -> Result<PipelineTrial, PipelineError> {
+        if self.frames > 1 {
+            let (outcome, rep) = runner.run_limp_trial_with(
+                &self.pipeline,
+                &self.mode,
+                &self.frame_plan,
+                self.opts,
+                self.frames,
+                model,
+                plans,
+                &self.prefixes,
+            )?;
+            Ok((outcome, TrialRecord::Mission(rep)))
+        } else {
+            let (outcome, run) = runner.run_trial(
+                &self.pipeline,
+                &self.mode,
+                &self.frame_plan,
+                self.opts,
+                self.misroute,
+                model,
+            )?;
+            Ok((outcome, TrialRecord::Frame(run)))
+        }
+    }
+
+    fn tally(&self) -> PipelineCampaignReport {
+        self.report.clone()
+    }
+
+    fn count(report: &mut PipelineCampaignReport, (outcome, record): &PipelineTrial) {
+        report.add(*outcome, record);
+    }
 }
 
 /// The one-worker reference: one runner and one degraded-plan memo run
-/// every trial in draw order in the calling thread, and every mission from
-/// cycle 0 (no frame-boundary fast-forward). This is the report
+/// every trial in draw order in the calling thread, every mission from
+/// cycle 0 and no trial skipped. This is the report
 /// [`run_pipeline_campaign`] must reproduce at every worker count, so
-/// `campaign_matrix --check-serial` diffs fast-forwarded missions against
-/// from-zero ones.
+/// `campaign_matrix --check-serial` diffs resumed missions and skipped idle
+/// windows against from-zero ones.
 ///
 /// # Errors
 ///
@@ -886,16 +856,26 @@ pub fn run_pipeline_campaign_serial(
     reg: &PipelineRegistry,
     spec: &PipelineCampaignSpec,
 ) -> Result<PipelineCampaignReport, PipelineCampaignError> {
-    run_engine(cfg, reg, spec, 1, false)
+    let mut cell = resolve(cfg, reg, spec)?;
+    cell.prefixes.clear();
+    let mut runner = cell.runner();
+    let mut report = cell.tally();
+    for &model in &cell.models {
+        let (outcome, record) = cell.run(&mut runner, model)?;
+        report.add(outcome, &record);
+    }
+    Ok(report)
 }
 
-/// Runs a pipeline campaign on a pool of
+/// Runs a pipeline campaign on the cell engine
+/// ([`higpu_faults::campaign::run_cell`]) over
 /// [`CampaignConfig::resolved_workers`] threads. Bit-identical to
 /// [`run_pipeline_campaign_serial`] at every worker count: all randomness
 /// is pre-drawn, every trial is a pure function of its model, and the
-/// reduction is a sum of order-independent counts. A limp-home mission
-/// resumes at the last fault-free frame entry before its fault arms
-/// instead of re-simulating the frames before it.
+/// reduction is a sum of order-independent counts. A model whose window the
+/// fault-free mission proves idle counts as that mission without running,
+/// and a limp-home mission resumes at the last fault-free frame entry
+/// before its fault arms instead of re-simulating the frames before it.
 ///
 /// # Errors
 ///
@@ -907,39 +887,16 @@ pub fn run_pipeline_campaign(
     reg: &PipelineRegistry,
     spec: &PipelineCampaignSpec,
 ) -> Result<PipelineCampaignReport, PipelineCampaignError> {
-    run_engine(cfg, reg, spec, cfg.resolved_workers(), true)
-}
-
-/// The campaign engine behind both entry points: `workers` pool threads,
-/// with or without the frame-boundary fast-forward.
-fn run_engine(
-    cfg: &CampaignConfig,
-    reg: &PipelineRegistry,
-    spec: &PipelineCampaignSpec,
-    workers: usize,
-    fast_forward: bool,
-) -> Result<PipelineCampaignReport, PipelineCampaignError> {
-    let resolved = resolve(cfg, reg, spec, fast_forward)?;
-    let parts = run_pool(
-        resolved.models.len(),
-        workers,
-        || {
-            (
-                PipelineCampaignRunner::new(cfg),
-                DegradedPlans::default(),
-                PipelineCounts::default(),
-            )
-        },
-        |(runner, plans, counts), i| {
-            run_one_trial(runner, plans, spec, &resolved, resolved.models[i], counts)
-        },
-        |(_, _, counts)| counts,
-    )?;
-    let mut counts = PipelineCounts::default();
-    for c in parts {
-        counts.merge(c);
-    }
-    Ok(finish_report(spec, &resolved, cfg.trials, counts))
+    let cell = resolve(cfg, reg, spec)?;
+    // A fault-free frame runs inside its calibrated budgets, so no
+    // watchdog cuts the fault-free mission.
+    Ok(run_cell(
+        &cell,
+        &cell.models,
+        &cell.busy,
+        None,
+        cfg.resolved_workers(),
+    )?)
 }
 
 #[cfg(test)]
@@ -1076,7 +1033,7 @@ mod tests {
                     let spec = PipelineCampaignSpec::new(pipeline, PolicyKind::Srrs, fault)
                         .with_exec(exec)
                         .with_frames(4);
-                    let r = resolve(&cfg, &reg, &spec, true).expect("cell resolves");
+                    let r = resolve(&cfg, &reg, &spec).expect("cell resolves");
                     let entries: Vec<u64> = r.prefixes.iter().map(FramePrefix::cycle).collect();
                     assert_eq!(entries.len(), 3, "one prefix per frame entry 1..4");
                     assert!(entries.windows(2).all(|w| w[0] < w[1]), "{entries:?}");

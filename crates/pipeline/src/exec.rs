@@ -117,24 +117,6 @@ impl FrameOptions {
         self.exec = exec;
         self
     }
-
-    /// The same options with recovery disabled.
-    pub fn without_recovery(mut self) -> Self {
-        self.recovery = RecoveryPolicy::disabled();
-        self
-    }
-
-    /// The same options with `recovery`.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// The same options with inter-stage scheduler self-tests enabled.
-    pub fn with_interstage_bist(mut self) -> Self {
-        self.interstage_bist = true;
-        self
-    }
 }
 
 /// Why a stage fail-stopped.
@@ -785,7 +767,10 @@ mod tests {
             &p,
             &mode,
             &plan,
-            FrameOptions::serial().with_interstage_bist(),
+            FrameOptions {
+                interstage_bist: true,
+                ..FrameOptions::serial()
+            },
         )
         .expect("frame runs");
         assert!(run.completed());

@@ -32,6 +32,7 @@ use crate::exec::{plan_degraded, FrameOptions, PipelineError, PipelinePlan, Pipe
 use crate::graph::Pipeline;
 use higpu_core::health::{sm_bist_sweep, Evidence, HealthMonitor};
 use higpu_core::redundancy::{RedundancyError, RedundancyMode};
+use higpu_faults::campaign::BusyIntervals;
 use higpu_sim::config::GpuConfig;
 use higpu_sim::gpu::{DeviceSnapshot, Gpu};
 use higpu_workloads::SessionError;
@@ -125,11 +126,6 @@ impl LimpHomeReport {
             .count() as u32
     }
 
-    /// Frames completed (nominal or degraded).
-    pub fn completed_frames(&self) -> u32 {
-        self.frames.iter().filter(|f| f.completed()).count() as u32
-    }
-
     /// Frames from the fault's first observable (the diagnosing frame's
     /// entry) to quarantine, inclusive — 1 means the very frame that
     /// tripped also convicted.
@@ -177,9 +173,10 @@ impl LimpHomeReport {
     }
 }
 
-/// The enforced end-to-end budget of one frame under `opts`' executor
-/// (critical path when overlapped, per-stage sum when serial).
-fn e2e_budget(plan: &PipelinePlan, opts: FrameOptions) -> u64 {
+/// The enforced end-to-end budget of one frame under `opts`' executor: the
+/// critical path when overlapped, the per-stage sum when serial (that
+/// executor still owes every stage budget in sequence).
+pub(crate) fn e2e_budget(plan: &PipelinePlan, opts: FrameOptions) -> u64 {
     match opts.exec {
         crate::exec::ExecMode::Overlapped => plan.ftti.end_to_end(),
         crate::exec::ExecMode::Serial => plan.ftti.serial_sum(),
@@ -297,37 +294,41 @@ impl FramePrefix {
     }
 }
 
-/// Runs the fault-free mission on a fresh device and records a
-/// [`FramePrefix`] at the entry of every frame `1..frames`, ascending in
-/// cycle. The last frame itself is never run: nothing resumes after it.
-pub(crate) fn record_frame_prefixes(
+/// Runs a campaign cell's fault-free mission of `frames` frames on a fresh
+/// device, once. Returns its report, a [`FramePrefix`] at the entry of every
+/// frame `1..frames` (ascending in cycle) for trials to resume from, and the
+/// per-SM busy intervals of its trace, which prove fault windows idle.
+pub(crate) fn record_fault_free_mission(
     gpu_cfg: &GpuConfig,
     pipeline: &Pipeline,
     mode: &RedundancyMode,
     initial_plan: &PipelinePlan,
     opts: FrameOptions,
     frames: usize,
-) -> Result<Vec<FramePrefix>, PipelineError> {
+) -> Result<(LimpHomeReport, Vec<FramePrefix>, BusyIntervals), PipelineError> {
     let mut gpu = Gpu::new(gpu_cfg.clone());
     let mut mission = Mission::new(gpu_cfg.num_sms, initial_plan, frames);
     let mut plans = DegradedPlans::default();
     let mut prefixes = Vec::with_capacity(frames.saturating_sub(1));
-    for frame in 1..frames {
+    for frame in 0..frames {
+        if frame > 0 {
+            prefixes.push(FramePrefix {
+                snap: gpu.snapshot(),
+                mission: mission.clone(),
+            });
+        }
         run_frames(
             &mut mission,
             &mut gpu,
             pipeline,
             mode,
             opts,
-            frame,
+            frame + 1,
             &mut plans,
         )?;
-        prefixes.push(FramePrefix {
-            snap: gpu.snapshot(),
-            mission: mission.clone(),
-        });
     }
-    Ok(prefixes)
+    let busy = BusyIntervals::from_trace(gpu.trace());
+    Ok((mission.report, prefixes, busy))
 }
 
 /// What the frame loop carries from one frame to the next: the report so

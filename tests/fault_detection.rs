@@ -1,12 +1,15 @@
 //! Integration: the fault-detection guarantees across the policy × fault
 //! matrix, exercised through the public crate APIs.
 
+use higpu::core::policy::PolicyKind;
 use higpu::core::redundancy::RedundancyMode;
 use higpu::faults::campaign::{
-    run_campaign_with_perf, CampaignConfig, CampaignRunner, FaultSpec, TrialOutcome,
+    dry_run_makespan, ftti_deadline, run_campaign_with_perf, CampaignConfig, CampaignRunner,
+    CampaignSpec, FaultSpec, TrialOutcome,
 };
 use higpu::faults::model::FaultModel;
-use higpu::faults::workload::IteratedFma;
+use higpu::faults::workload::{IteratedFma, RedundantWorkload};
+use higpu::workloads::WorkloadRegistry;
 
 fn cfg(trials: u32) -> CampaignConfig {
     CampaignConfig {
@@ -144,5 +147,42 @@ fn lockstep_uncontrolled_replicas_let_droops_escape() {
     assert_eq!(
         gapped.undetected, 0,
         "the default dispatch gap keeps droops detectable: {gapped:?}"
+    );
+}
+
+/// Known escape B: a permanent fault XORs its bit into every value written
+/// on SM 3, address arithmetic included, so blocks of replicas 0 and 1
+/// running there store the same wrong words outside their own output
+/// range, and the TMR vote takes that pair. SRRS diversity covers only
+/// where blocks run, not where they store.
+#[test]
+fn escape_b_cfd_srrs3_permanent_sm3_is_a_known_undetected_failure() {
+    let mut reg = WorkloadRegistry::new();
+    higpu::rodinia::register_all(&mut reg);
+    let spec = CampaignSpec::new("cfd", PolicyKind::Srrs, FaultSpec::Permanent).with_replicas(3);
+    let cfg = CampaignConfig::default();
+    let mode = spec.mode(cfg.gpu.num_sms).expect("SRRS@3");
+    assert_eq!(
+        mode,
+        RedundancyMode::Srrs {
+            start_sms: vec![0, 2, 4]
+        }
+    );
+    let workload = spec.build_workload(&reg).expect("cfd is registered");
+    let makespan = dry_run_makespan(&cfg, &mode, &workload).expect("dry run");
+    let deadline = Some(ftti_deadline(makespan, workload.ftti_multiplier()));
+    let model = FaultModel::PermanentSm {
+        sm: 3,
+        from_cycle: 111_998,
+        bit: 6,
+    };
+    let (outcome, obs) = CampaignRunner::new(&cfg)
+        .run_trial_observed(&mode, &workload, model, deadline, None)
+        .expect("trial");
+    assert_eq!(
+        (outcome, obs.end_cycle),
+        (TrialOutcome::UndetectedFailure, 134_428),
+        "escape B changed: the PR that closes it (ROADMAP direction 1, replica store \
+         signatures) flips this pin to Detected"
     );
 }
