@@ -551,9 +551,11 @@ pub fn ftti_deadline(fault_free_makespan: u64, ftti_multiplier: u64) -> u64 {
 /// self-test), so they always simulate.
 ///
 /// Campaign draws arm in `0..makespan`, so this check skips no drawn
-/// model; it is the fallback of a trial run without busy intervals
-/// ([`CampaignRunner::run_trial_observed_with_makespan`] without a
-/// reference). [`BusyIntervals::proves_not_activated`] implies it.
+/// model. No campaign engine calls it: [`run_cell`] skips by the cell's
+/// [`BusyIntervals`], whose [`BusyIntervals::proves_not_activated`]
+/// implies it. It remains the pre-simulation skip of
+/// [`CampaignRunner::run_trial_observed_with_makespan`] without a
+/// reference, where no busy intervals are at hand.
 pub fn trivially_not_activated(
     model: FaultModel,
     fault_free_makespan: u64,
@@ -802,9 +804,8 @@ impl CampaignRunner {
     /// still going at `deadline` cycles is classified
     /// [`TrialOutcome::Detected`] — the DCLS host's deadline monitor catches
     /// the hung replica, so a timing violation is a detection, not an error.
-    /// Every trial is simulated in full (no inert-fault exit), so this is
-    /// the oracle [`CampaignRunner::run_trial_observed_with_makespan`] is
-    /// fenced against.
+    /// Every trial is simulated to its end: a fault whose window closes
+    /// with nothing corrupted runs on to the fault-free makespan.
     ///
     /// # Errors
     ///
@@ -819,20 +820,6 @@ impl CampaignRunner {
         deadline: Option<u64>,
         reference: Option<&ReferenceRun>,
     ) -> Result<(TrialOutcome, TrialObservables), RedundancyError> {
-        self.run_trial_cut(mode, workload, model, deadline, reference, None)
-    }
-
-    /// [`CampaignRunner::run_trial_observed`] with the device's inert-fault
-    /// cutoff armed at `inert_cutoff` ([`Gpu::set_inert_cutoff`]).
-    fn run_trial_cut(
-        &mut self,
-        mode: &RedundancyMode,
-        workload: &dyn RedundantWorkload,
-        model: FaultModel,
-        deadline: Option<u64>,
-        reference: Option<&ReferenceRun>,
-        inert_cutoff: Option<u64>,
-    ) -> Result<(TrialOutcome, TrialObservables), RedundancyError> {
         // A trial that errored mid-flight (e.g. a watchdog cutoff) leaves
         // the device non-idle; discard the dead in-flight work and rewind
         // in place — reconstructing the multi-MB image would reintroduce
@@ -842,7 +829,6 @@ impl CampaignRunner {
         }
         let gpu = &mut self.gpu;
         gpu.set_cycle_limit(deadline);
-        gpu.set_inert_cutoff(inert_cutoff);
         let counters = InjectionCounters::shared();
         gpu.set_fault_hook(Box::new(FaultInjector::new(model, counters.clone())));
         let fault_sm = match model {
@@ -936,30 +922,23 @@ impl CampaignRunner {
         Ok((outcome, obs))
     }
 
-    /// [`CampaignRunner::run_trial_observed`] behind the two campaign fast
-    /// paths keyed to `fault_free_makespan`, the makespan of the campaign's
-    /// reference pass:
+    /// [`CampaignRunner::run_trial_observed`] behind a pre-simulation skip
+    /// keyed to `fault_free_makespan`, the makespan of the campaign's
+    /// reference pass: a model proved never to corrupt classifies
+    /// [`TrialOutcome::NotActivated`] with synthesized observables and **no
+    /// simulation at all** (no device reset, no replica runs, no replay).
+    /// With a `reference`, the proof is the campaign engine's: the window
+    /// misses every block of the reference pass's [`BusyIntervals`] on the
+    /// targeted SMs ([`BusyIntervals::proves_not_activated`]). Without one,
+    /// only the makespan-only [`trivially_not_activated`] applies. Every
+    /// other model is simulated in full.
     ///
-    /// * a model proved inert classifies [`TrialOutcome::NotActivated`]
-    ///   with synthesized observables and **no simulation at all** (no
-    ///   device reset, no replica runs, no replay). With a `reference`, the
-    ///   proof is the campaign engine's: the window misses every block of
-    ///   the reference pass's [`BusyIntervals`] on the targeted SMs
-    ///   ([`BusyIntervals::proves_not_activated`]). Without one, only the
-    ///   makespan-only [`trivially_not_activated`] applies;
-    /// * a transient or droop model is simulated only until its window
-    ///   closes ([`FaultModel::window_end`]). If nothing was corrupted by
-    ///   then, the rest of the run is the fault-free reference, so the trial
-    ///   stops there (the inert-fault early exit) and classifies
-    ///   `NotActivated` with the same synthesized observables, plus the
-    ///   snapshot restores it performed before the cutoff.
-    ///
-    /// Both need a watchdog no tighter than the fault-free makespan, which
-    /// would otherwise cut the reference run itself. Outcome, end cycle,
-    /// activation and deadline cut are bit-identical to the simulated trial
-    /// of the same model; a checkpointed trial skipped without simulating
-    /// reports 0 restores. [`CampaignRunner::perf`] counts only the work
-    /// actually simulated.
+    /// The proof needs a watchdog no tighter than the fault-free makespan,
+    /// which would otherwise cut the reference run itself. Outcome, end
+    /// cycle, activation and deadline cut are bit-identical to the simulated
+    /// trial of the same model; a checkpointed trial skipped without
+    /// simulating reports 0 restores. [`CampaignRunner::perf`] counts only
+    /// the work actually simulated.
     ///
     /// # Errors
     ///
@@ -973,30 +952,17 @@ impl CampaignRunner {
         reference: Option<&ReferenceRun>,
         fault_free_makespan: u64,
     ) -> Result<(TrialOutcome, TrialObservables), RedundancyError> {
-        let inert = match reference {
+        let idle = match reference {
             Some(r) => r.busy().proves_not_activated(model, deadline),
             None => trivially_not_activated(model, fault_free_makespan, deadline),
         };
-        if inert {
+        if idle {
             return Ok((
                 TrialOutcome::NotActivated,
                 trivial_observables(model, fault_free_makespan),
             ));
         }
-        let cutoff = model
-            .window_end()
-            .filter(|_| deadline.is_none_or(|d| fault_free_makespan <= d));
-        match self.run_trial_cut(mode, workload, model, deadline, reference, cutoff) {
-            Err(RedundancyError::Sim(SimError::InertFault { .. })) => Ok((
-                TrialOutcome::NotActivated,
-                TrialObservables {
-                    restores: self.gpu.restore_count(),
-                    restore_skipped_cycles: self.gpu.restore_skipped_cycles(),
-                    ..trivial_observables(model, fault_free_makespan)
-                },
-            )),
-            trial => trial,
-        }
+        self.run_trial_observed(mode, workload, model, deadline, reference)
     }
 }
 
@@ -1214,8 +1180,8 @@ pub fn run_cell<S: CellSubject>(
 /// The reference serial engine: one freshly constructed device per trial,
 /// trials in draw order, every trial simulated in full from cycle 0. It
 /// ignores `cfg.checkpoint` as it ignores `cfg.workers`, so it is the
-/// simpler oracle the parallel, early-exiting and checkpointed engine is
-/// checked against.
+/// simpler oracle the parallel, idle-window-skipping and checkpointed
+/// engine is checked against.
 ///
 /// # Errors
 ///
@@ -1260,9 +1226,10 @@ pub fn run_campaign_with_perf(
 }
 
 /// A workload cell as a [`CellSubject`]: each trial runs on a reusable
-/// [`CampaignRunner`] with the early exit and, with a `reference`,
-/// checkpointed replay, and counts into the report, the telemetry and the
-/// simulated cost.
+/// [`CampaignRunner`], with checkpointed replay when there is a
+/// `reference`, and counts into the report, the telemetry and the
+/// simulated cost. [`run_cell`] has already skipped every model the cell's
+/// busy intervals prove idle, so each trial it hands over is simulated.
 struct WorkloadCell<'a> {
     cfg: &'a CampaignConfig,
     mode: &'a RedundancyMode,
@@ -1293,13 +1260,12 @@ impl CellSubject for WorkloadCell<'_> {
         model: FaultModel,
     ) -> Result<Self::Trial, RedundancyError> {
         let before = runner.perf();
-        let (outcome, obs) = runner.run_trial_observed_with_makespan(
+        let (outcome, obs) = runner.run_trial_observed(
             self.mode,
             self.workload,
             model,
             self.deadline,
             self.reference,
-            self.report.fault_free_makespan,
         )?;
         Ok((outcome, obs, runner.perf().since(before)))
     }

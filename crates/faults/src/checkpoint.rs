@@ -57,8 +57,10 @@ impl Default for CheckpointConfig {
 /// One recorded mid-segment pause point of the reference pass.
 #[derive(Debug, Clone)]
 struct Checkpoint {
-    /// Device clock at the pause (a multiple of the stride past the
-    /// segment's start, except where the segment ended first).
+    /// Device clock at the pause: the first cycle the run loop visits at
+    /// or after the previous pause (the segment's start, for the first)
+    /// plus the stride ([`Gpu::run_to_cycle`]), so pauses drift later than
+    /// the stride grid wherever the loop jumps idle stretches.
     cycle: u64,
     snap: DeviceSnapshot,
 }

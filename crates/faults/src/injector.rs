@@ -87,10 +87,6 @@ impl FaultHook for FaultInjector {
         }
         chosen_sm
     }
-
-    fn influenced(&self) -> bool {
-        self.counters.activated()
-    }
 }
 
 #[cfg(test)]

@@ -94,8 +94,8 @@ impl FaultModel {
     /// The first cycle at which this model can no longer corrupt anything:
     /// the exclusive end of a transient or droop window (saturating).
     /// `None` for permanent faults and misroutes, whose effect never
-    /// expires. A trial whose window closed without a corruption is
-    /// fault-free from here on — the campaign runners' inert-fault exit.
+    /// expires. Bounds the window [`crate::campaign::BusyIntervals`]
+    /// checks for idleness.
     pub fn window_end(&self) -> Option<u64> {
         match *self {
             FaultModel::TransientSm {

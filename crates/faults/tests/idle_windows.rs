@@ -15,6 +15,11 @@
 //!   reference pass) equal the from-zero engine's (from the dry run), and
 //!   its runner skips those models at zero simulated cost. Every family
 //!   skips at least one model;
+//! * **checkpointed twins** — every trial of Transient and Droop cells over
+//!   the same workloads and modes, replayed from the reference pass's
+//!   snapshots without the skip, ends with the same outcome and observables
+//!   as its full simulation from zero, including on `srad` with every fault
+//!   armed in the last 1/16 of the run, where suffix replay skips the most;
 //! * **boundaries** — around one block `[a, b]` of a fault-free trace, a
 //!   window `[a - d, a)` is skipped, a window covering `a` is not, a window
 //!   starting at `b` is not (the interval is closed), and a permanent fault
@@ -141,6 +146,102 @@ fn drawn_models_proved_idle_are_the_fault_free_run() {
             fault.label()
         );
     }
+}
+
+/// Where a cell's faults arm.
+#[derive(Debug, Clone, Copy)]
+enum Arms {
+    /// The campaign engines' own draw.
+    Drawn,
+    /// Transient SM faults armed in the last 1/16 of the fault-free run.
+    LateWindow,
+}
+
+impl Arms {
+    fn models(self, cfg: &CampaignConfig, fault: FaultSpec, makespan: u64) -> Vec<FaultModel> {
+        match self {
+            Self::Drawn => draw_models(cfg, fault, makespan),
+            Self::LateWindow => {
+                let lo = makespan - makespan / 16;
+                (0..cfg.trials)
+                    .map(|i| FaultModel::TransientSm {
+                        sm: i as usize % cfg.gpu.num_sms,
+                        start: lo + u64::from(i) % (makespan - lo).max(1),
+                        duration: 400,
+                        bit: (i % 32) as u8,
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
+/// Runs every trial of one cell checkpointed and from zero, asserting they
+/// end alike; returns how many checkpointed trials restored a snapshot.
+fn restored_in_cell(reg: &WorkloadRegistry, spec: &CampaignSpec, arms: Arms) -> u32 {
+    let cfg = CampaignConfig {
+        trials: 6,
+        seed: 0x1E27,
+        ..CampaignConfig::default()
+    };
+    let label = format!(
+        "{}/{:?}@{}/{} ({arms:?})",
+        spec.workload,
+        spec.policy,
+        spec.replicas,
+        spec.fault.label()
+    );
+    let workload = spec.build_workload(reg).expect("registered workload");
+    let mode = spec.mode(cfg.gpu.num_sms).expect("supported mode");
+    let reference = record_reference(&cfg, &mode, &workload, CheckpointConfig::default().stride)
+        .expect("reference pass");
+    let makespan = reference.makespan();
+    let deadline = Some(ftti_deadline(makespan, workload.ftti_multiplier()));
+    let mut checkpointed = CampaignRunner::new(&cfg);
+    let mut from_zero = CampaignRunner::new(&cfg);
+    let mut restored = 0;
+    for (i, model) in arms
+        .models(&cfg, spec.fault, makespan)
+        .into_iter()
+        .enumerate()
+    {
+        let (outcome, obs) = checkpointed
+            .run_trial_observed(&mode, &workload, model, deadline, Some(&reference))
+            .expect("checkpointed trial");
+        let (want_outcome, want) = from_zero
+            .run_trial_observed(&mode, &workload, model, deadline, None)
+            .expect("from-zero trial");
+        let at = format!("{label} trial {i} ({model:?})");
+        assert_eq!(outcome, want_outcome, "{at}: outcome");
+        assert_eq!(obs.end_cycle, want.end_cycle, "{at}: end cycle");
+        assert_eq!(obs.arm_cycle, want.arm_cycle, "{at}: arm cycle");
+        assert_eq!(obs.activated, want.activated, "{at}: activation");
+        assert_eq!(obs.deadline_cut, want.deadline_cut, "{at}: deadline cut");
+        restored += u32::from(obs.restores > 0);
+    }
+    restored
+}
+
+#[test]
+fn checkpointed_trials_match_their_from_zero_twins() {
+    let mut reg = WorkloadRegistry::new();
+    higpu_rodinia::register_all(&mut reg);
+    let mut restored = 0;
+    for name in ["hotspot", "pathfinder", "nw"] {
+        for (policy, replicas) in [(PolicyKind::Srrs, 2), (PolicyKind::Slice, 3)] {
+            for fault in &FAULTS[..2] {
+                let spec = CampaignSpec::new(name, policy, *fault).with_replicas(replicas);
+                restored += restored_in_cell(&reg, &spec, Arms::Drawn);
+            }
+        }
+    }
+    let srad = CampaignSpec::new("srad", PolicyKind::Srrs, FAULTS[0]);
+    let late = restored_in_cell(&reg, &srad, Arms::LateWindow);
+    assert!(
+        restored > 0 && late > 0,
+        "no checkpointed trial restored a snapshot ({restored} drawn, {late} late) — the \
+         fence is vacuous"
+    );
 }
 
 /// True if some block of `blocks` on `sm` is resident at a cycle in

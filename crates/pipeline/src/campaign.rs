@@ -37,7 +37,7 @@ use crate::limp::{
 };
 use higpu_core::diversity::{analyze, DiversityRequirements};
 use higpu_core::policy::PolicyKind;
-use higpu_core::redundancy::{RedundancyError, RedundancyMode};
+use higpu_core::redundancy::RedundancyMode;
 use higpu_core::safety_case::DetectionEvidence;
 use higpu_faults::campaign::{
     draw_models, policy_mode, run_cell, BusyIntervals, CampaignConfig, CampaignError, CellSubject,
@@ -46,8 +46,8 @@ use higpu_faults::campaign::{
 use higpu_faults::injector::{FaultInjector, InjectionCounters};
 use higpu_faults::model::FaultModel;
 use higpu_sim::config::GpuConfig;
-use higpu_sim::gpu::{Gpu, SimError};
-use higpu_workloads::{Scale, SessionError};
+use higpu_sim::gpu::Gpu;
+use higpu_workloads::Scale;
 use std::fmt;
 use std::sync::Arc;
 
@@ -77,8 +77,11 @@ pub struct PipelineCampaignSpec {
     /// fail-stopped frame escalates to diagnosis + quarantine +
     /// re-planning, and the trial classifies the mission
     /// ([`PipelineTrialOutcome::Quarantined`] /
-    /// [`PipelineTrialOutcome::LimpHomeMiss`]). Meant for value-corruption
-    /// fault families; misroute classification stays single-frame.
+    /// [`PipelineTrialOutcome::LimpHomeMiss`]). Value-corruption fault
+    /// families only: a misroute is detected by the inter-stage scheduler
+    /// self-test and the diversity monitor, which only single-frame
+    /// classification consults, so a misroute spec with `frames > 1` is
+    /// rejected ([`CampaignError::Execution`]).
     pub frames: u32,
 }
 
@@ -424,9 +427,7 @@ impl PipelineCampaignRunner {
     /// Runs one pipeline injection trial; returns the classified outcome
     /// and the frame record. Pure function of `(cfg.gpu, pipeline, mode,
     /// plan, opts, fault family, model)` — independent of previous trials
-    /// and of which runner executes it. A transient or droop frame whose
-    /// window closed without a corruption stops there and returns
-    /// `NotActivated` with an empty run record (no timings, no outputs).
+    /// and of which runner executes it. Every frame is simulated to its end.
     ///
     /// # Errors
     ///
@@ -441,15 +442,7 @@ impl PipelineCampaignRunner {
         model: FaultModel,
     ) -> Result<(PipelineTrialOutcome, PipelineRun), PipelineError> {
         let counters = self.arm(model);
-        let run = match run_pipeline(&mut self.gpu, pipeline, mode, frame_plan, opts) {
-            Err(e) if is_inert_exit(&e) => {
-                return Ok((
-                    PipelineTrialOutcome::NotActivated,
-                    PipelineRun::new(pipeline.len(), 0),
-                ))
-            }
-            run => run?,
-        };
+        let run = run_pipeline(&mut self.gpu, pipeline, mode, frame_plan, opts)?;
         // A misrouted frame is functionally silent; the deployed detectors
         // are the inter-stage scheduler BIST plus the diversity monitor
         // over the frame's trace (mirroring the workload-level path).
@@ -465,15 +458,14 @@ impl PipelineCampaignRunner {
     /// mission level — [`PipelineTrialOutcome::Quarantined`] when an SM
     /// was convicted and every later frame limped home inside its
     /// re-planned FTTI, [`PipelineTrialOutcome::LimpHomeMiss`] when the
-    /// contract broke after a conviction. A transient or droop mission
-    /// whose window closed without a corruption stops there and returns
-    /// `NotActivated` with an empty report.
+    /// contract broke after a conviction.
     ///
-    /// Every mission runs from cycle 0. This is the oracle the campaign
-    /// engine's skips are fenced against: the engine counts a model whose
-    /// window the fault-free mission proves idle as that mission, and
-    /// resumes every other mission at the last fault-free frame entry before
-    /// the fault arms (README, *Frame-boundary fast-forward*).
+    /// Every mission runs from cycle 0 to its end. This is the oracle the
+    /// campaign engine's skips are fenced against: the engine counts a
+    /// model whose window the fault-free mission proves idle as that
+    /// mission, and resumes every other mission at the last fault-free
+    /// frame entry before the fault arms (README, *Frame-boundary
+    /// fast-forward*).
     ///
     /// # Errors
     ///
@@ -522,7 +514,7 @@ impl PipelineCampaignRunner {
             .iter()
             .rev()
             .find(|p| p.cycle() <= model.arm_cycle());
-        let rep = match run_limp_home_with(
+        let rep = run_limp_home_with(
             &mut self.gpu,
             pipeline,
             mode,
@@ -531,26 +523,13 @@ impl PipelineCampaignRunner {
             frames as usize,
             plans,
             from,
-        ) {
-            Err(e) if is_inert_exit(&e) => {
-                return Ok((
-                    PipelineTrialOutcome::NotActivated,
-                    LimpHomeReport::default(),
-                ))
-            }
-            rep => rep?,
-        };
+        )?;
         let outcome = classify_limp(pipeline, &rep, counters.activated());
         Ok((outcome, rep))
     }
 
-    /// Rewinds the device, installs `model`'s injector and arms the
-    /// inert-fault cutoff at the model's window end (both survive a later
-    /// [`Gpu::restore`]; README, *Inert-fault early exit*). A trial that
-    /// reaches it uncorrupted is the fault-free one from there on, which
-    /// misses no deadline, retries nothing and convicts no SM, so it is
-    /// `NotActivated` with an empty record that adds nothing to the counts
-    /// (fenced by `crates/pipeline/tests/inert_exit.rs` against full runs).
+    /// Rewinds the device and installs `model`'s injector (it survives a
+    /// later [`Gpu::restore`]).
     fn arm(&mut self, model: FaultModel) -> Arc<InjectionCounters> {
         if self.gpu.reset().is_err() {
             self.gpu.force_reset();
@@ -558,21 +537,8 @@ impl PipelineCampaignRunner {
         let counters = InjectionCounters::shared();
         self.gpu
             .set_fault_hook(Box::new(FaultInjector::new(model, counters.clone())));
-        self.gpu.set_inert_cutoff(model.window_end());
         counters
     }
-}
-
-/// True when a frame or mission stopped at its fault's inert cutoff,
-/// whichever executor layer the error surfaced through.
-fn is_inert_exit(e: &PipelineError) -> bool {
-    matches!(
-        e,
-        PipelineError::Session(
-            SessionError::Sim(SimError::InertFault { .. })
-                | SessionError::Redundancy(RedundancyError::Sim(SimError::InertFault { .. }))
-        )
-    )
 }
 
 /// Classifies a limp-home mission: the oracle checks every delivered
@@ -717,6 +683,15 @@ fn resolve(
     reg: &PipelineRegistry,
     spec: &PipelineCampaignSpec,
 ) -> Result<PipelineCell, PipelineCampaignError> {
+    let misroute = matches!(spec.fault, FaultSpec::Misroute);
+    if misroute && spec.frames > 1 {
+        return Err(CampaignError::Execution(
+            "misroute faults are classified per frame; limp-home missions take value-corruption \
+             faults only"
+                .to_string(),
+        )
+        .into());
+    }
     let pipeline = reg
         .build(&spec.pipeline, spec.scale)
         .ok_or_else(|| PipelineCampaignError::UnknownPipeline(spec.pipeline.clone()))?;
@@ -770,7 +745,7 @@ fn resolve(
         frame_plan,
         opts,
         frames,
-        misroute: matches!(spec.fault, FaultSpec::Misroute),
+        misroute,
         models,
         prefixes,
         busy,
@@ -930,6 +905,26 @@ mod tests {
                 CampaignError::UnsupportedReplicas { .. }
             ))
         ));
+    }
+
+    #[test]
+    fn misroute_missions_are_rejected() {
+        // Mission classification ignores the inter-stage self-test and the
+        // diversity monitor, the only detectors of a misroute, so the same
+        // draws would count Detected as frames and Masked as missions.
+        let reg = full_pipeline_registry();
+        let cfg = small_cfg(2);
+        let spec =
+            PipelineCampaignSpec::new("sensor_fusion", PolicyKind::Srrs, FaultSpec::Misroute)
+                .with_frames(4);
+        let rejected = |r: Result<PipelineCampaignReport, PipelineCampaignError>| {
+            matches!(
+                r,
+                Err(PipelineCampaignError::Campaign(CampaignError::Execution(_)))
+            )
+        };
+        assert!(rejected(run_pipeline_campaign(&cfg, &reg, &spec)));
+        assert!(rejected(run_pipeline_campaign_serial(&cfg, &reg, &spec)));
     }
 
     #[test]

@@ -96,8 +96,8 @@ impl FrameRecord {
 }
 
 /// The outcome of a multi-frame limp-home mission. The empty (`Default`)
-/// report is what a campaign mission cut short by the inert-fault exit
-/// returns: no frames, nothing quarantined.
+/// report, no frames and nothing quarantined, is the base a mission's
+/// report is built on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LimpHomeReport {
     /// Every frame, in order.

@@ -82,18 +82,6 @@ pub trait FaultHook {
     ) -> usize {
         chosen_sm
     }
-
-    /// Conservative query: `false` only if this hook has not influenced the
-    /// run so far — no value corrupted, no block rerouted — so the device
-    /// state is exactly that of a fault-free run.
-    ///
-    /// Consulted once the inert cutoff armed with
-    /// [`crate::gpu::Gpu::set_inert_cutoff`] is reached. The default is
-    /// `true`, which never permits an inert exit. Once `true`, a hook must
-    /// stay `true` for the rest of the run.
-    fn influenced(&self) -> bool {
-        true
-    }
 }
 
 /// The default hook: a fault-free machine.
@@ -144,9 +132,7 @@ mod tests {
             pc: 0,
             unit: ExecUnit::Alu,
         };
-        // A hook that overrides only corrupt_value must still be consulted,
-        // and is never taken for inert.
+        // A hook that overrides only corrupt_value must still be consulted.
         assert!(OnlyCorrupt.armed(&ctx));
-        assert!(OnlyCorrupt.influenced());
     }
 }

@@ -58,13 +58,6 @@ pub enum SimError {
         /// The configured limit.
         limit: u64,
     },
-    /// The inert-fault cutoff ([`Gpu::set_inert_cutoff`]) was reached while
-    /// the installed fault hook had influenced nothing: the rest of the run
-    /// is the fault-free one, so it was not simulated.
-    InertFault {
-        /// Cycle at which the run stopped.
-        cycle: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -94,11 +87,6 @@ impl fmt::Display for SimError {
                     "watchdog deadline of {limit} cycles exceeded at cycle {cycle}"
                 )
             }
-            SimError::InertFault { cycle } => write!(
-                f,
-                "fault hook still inert at its cutoff (cycle {cycle}); the rest of the run is \
-                 fault-free"
-            ),
         }
     }
 }
@@ -284,9 +272,6 @@ pub struct Gpu {
     /// Watchdog: abort `run_to_idle` past this cycle (see
     /// [`Gpu::set_cycle_limit`]).
     cycle_limit: Option<u64>,
-    /// Inert-fault cutoff cycle ([`Gpu::set_inert_cutoff`]); `u64::MAX`
-    /// when disarmed, so the run loops test it with one compare.
-    inert_cutoff: u64,
     next_dispatch_slot: u64,
     alloc_cursor: u32,
     /// High-water mark of bytes ever written (host transfers and device
@@ -379,7 +364,6 @@ impl Gpu {
             quarantined: vec![false; cfg.num_sms],
             cycle: 0,
             cycle_limit: None,
-            inert_cutoff: u64::MAX,
             next_dispatch_slot: 0,
             alloc_cursor: 0,
             dirty_hi: 0,
@@ -449,21 +433,6 @@ impl Gpu {
         self.cycle_limit
     }
 
-    /// Arms (or with `None` disarms) the inert-fault cutoff: once the clock
-    /// reaches `cycle` while the installed hook has not influenced the run
-    /// ([`FaultHook::influenced`]), the run loops stop with
-    /// [`SimError::InertFault`]. A hook whose corruption window closed
-    /// before that cycle leaves the rest of the run bit-identical to the
-    /// fault-free one, so campaign runners arm this at the window end and
-    /// skip the remainder. An influenced hook disarms the cutoff at the
-    /// first check.
-    ///
-    /// Harness state, like the watchdog: preserved by [`Gpu::restore`],
-    /// cleared by [`Gpu::reset`].
-    pub fn set_inert_cutoff(&mut self, cycle: Option<u64>) {
-        self.inert_cutoff = cycle.unwrap_or(u64::MAX);
-    }
-
     // ---- snapshot / restore --------------------------------------------------
 
     /// Captures the full architectural state of the device (see
@@ -500,9 +469,8 @@ impl Gpu {
     /// trace, counters and SM health. Legal on a busy device — in-flight
     /// state is simply overwritten.
     ///
-    /// The watchdog limit, inert-fault cutoff and fault hook are
-    /// **preserved** (they are harness state, see [`DeviceSnapshot`]); the
-    /// installed policy object
+    /// The watchdog limit and fault hook are **preserved** (they are
+    /// harness state, see [`DeviceSnapshot`]); the installed policy object
     /// is retained and its internal state overwritten via
     /// [`KernelSchedulerPolicy::load_state`] — the caller must have
     /// installed the same *kind* of policy that was active at capture time.
@@ -573,18 +541,6 @@ impl Gpu {
                 aux,
             });
         }
-    }
-
-    /// The inert-cutoff check behind the run loops' one-compare guard:
-    /// `Some` if the hook never influenced the run; otherwise the cutoff is
-    /// disarmed, since influence never wears off.
-    #[cold]
-    fn inert_exit(&mut self) -> Option<SimError> {
-        if self.fault.influenced() {
-            self.inert_cutoff = u64::MAX;
-            return None;
-        }
-        Some(SimError::InertFault { cycle: self.cycle })
     }
 
     /// True when a telemetry ring is installed.
@@ -762,8 +718,7 @@ impl Gpu {
     /// Rewinds the device to its post-construction state **without
     /// reallocating** the (multi-MB) memory image: bump allocator reset,
     /// dirty memory prefix zeroed, caches flushed, counters and trace
-    /// cleared, fault hook removed, watchdog and inert-fault cutoff
-    /// disarmed, cycle back to 0.
+    /// cleared, fault hook removed, watchdog disarmed, cycle back to 0.
     ///
     /// This is the fast path fault-injection campaigns use to reuse one
     /// device across thousands of trials; a reset device is observationally
@@ -805,7 +760,6 @@ impl Gpu {
         self.quarantined.fill(false);
         self.cycle = 0;
         self.cycle_limit = None;
-        self.inert_cutoff = u64::MAX;
         self.next_dispatch_slot = 0;
         self.next_kernel_id = 0;
         self.trace.clear();
@@ -1288,7 +1242,7 @@ impl Gpu {
     }
 
     /// The simulator's run loop. Each iteration visits one event cycle:
-    /// pause point, watchdog, inert cutoff, arrival maturation, scheduling
+    /// pause point, watchdog, arrival maturation, scheduling
     /// round, issue on every due SM in ascending id order (the shared
     /// memory system is order-sensitive), completions, then the advance to
     /// the next event cycle: the earliest SM wake-up or kernel arrival, or
@@ -1368,12 +1322,6 @@ impl Gpu {
                         cycle: self.cycle,
                         limit,
                     });
-                }
-            }
-            if self.cycle >= self.inert_cutoff {
-                if let Some(e) = self.inert_exit() {
-                    self.sched.completions = completions;
-                    return Err(e);
                 }
             }
             // Matured arrivals join the pending pool and the policy's view.
@@ -2357,57 +2305,6 @@ mod tests {
         .expect("launch");
         gpu.run_to_idle().expect("finishes well under the limit");
         assert_eq!(gpu.read_u32(buf, 128), vec![2u32; 128]);
-    }
-
-    #[test]
-    fn inert_cutoff_stops_only_uninfluenced_runs() {
-        struct Hook {
-            influenced: bool,
-        }
-        impl FaultHook for Hook {
-            fn armed(&self, _ctx: &crate::fault::FaultCtx) -> bool {
-                false
-            }
-            fn influenced(&self) -> bool {
-                self.influenced
-            }
-        }
-        let run = |influenced: bool, cutoff: Option<u64>| {
-            let mut gpu = Gpu::new(GpuConfig::tiny_2sm());
-            let buf = gpu.alloc_words(128).expect("alloc");
-            gpu.set_fault_hook(Box::new(Hook { influenced }));
-            gpu.set_inert_cutoff(cutoff);
-            gpu.launch(KernelLaunch::new(
-                inc_kernel(),
-                LaunchConfig::new(4u32, 32u32).param_u32(buf.0),
-            ))
-            .expect("launch");
-            gpu.run_to_idle()
-        };
-        let end = run(false, None).expect("no cutoff: full run");
-        let cut = run(false, Some(end / 2)).expect_err("inert at the cutoff");
-        assert!(
-            matches!(cut, SimError::InertFault { cycle } if (end / 2..=end).contains(&cycle)),
-            "{cut:?}"
-        );
-        assert_eq!(run(true, Some(end / 2)), Ok(end), "influenced runs finish");
-        assert_eq!(
-            run(false, Some(end + 1)),
-            Ok(end),
-            "a late cutoff never fires"
-        );
-        // Reset disarms the cutoff.
-        let mut gpu = Gpu::new(GpuConfig::tiny_2sm());
-        gpu.set_inert_cutoff(Some(0));
-        gpu.reset().expect("idle");
-        gpu.set_fault_hook(Box::new(Hook { influenced: false }));
-        let buf = gpu.alloc_words(128).expect("alloc");
-        gpu.launch(KernelLaunch::new(
-            inc_kernel(),
-            LaunchConfig::new(4u32, 32u32).param_u32(buf.0),
-        ))
-        .expect("launch");
-        gpu.run_to_idle().expect("cutoff disarmed by reset");
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //!
 //! On top of those, each workload's observable behaviour must be invariant
 //! under the loop's host-side interruptions: a run paused every few
-//! hundred cycles, a run snapshotted mid-flight and finished on a bare
-//! device, and a run stopped by the inert-fault cutoff must all agree with
-//! a straight run. Issue logs are diffed record for record; on divergence
+//! hundred cycles and a run snapshotted mid-flight and finished on a bare
+//! device must both agree with a straight run. Issue logs are diffed record for record; on divergence
 //! the failure message pinpoints the first differing issue slot as
 //! (cycle, SM, warp). Execution traces (block/kernel timings, makespan)
 //! and aggregate statistics must match too: agreement on the issue trace
@@ -16,8 +15,7 @@
 
 use higpu_bench::matrix::full_registry;
 use higpu_sim::config::GpuConfig;
-use higpu_sim::fault::{FaultCtx, FaultHook};
-use higpu_sim::gpu::{DevPtr, DeviceSnapshot, Gpu, SimError};
+use higpu_sim::gpu::{DevPtr, DeviceSnapshot, Gpu};
 use higpu_sim::kernel::{Dim3, KernelLaunch, LaunchConfig};
 use higpu_sim::program::Program;
 use higpu_sim::sm::IssueRecord;
@@ -330,65 +328,6 @@ fn mid_run_snapshot_restores_bit_identically() {
             gpu.stats(),
             "{name}: restored stats diverged"
         );
-    }
-}
-
-/// A hook that never influences the run: the inert cutoff always fires.
-struct Inert;
-
-impl FaultHook for Inert {
-    fn armed(&self, _ctx: &FaultCtx) -> bool {
-        false
-    }
-
-    fn influenced(&self) -> bool {
-        false
-    }
-}
-
-#[test]
-fn inert_cutoff_fires_at_the_first_visited_cycle_past_it() {
-    // The early-exit contract: with the cutoff armed mid-run, the loop
-    // stops at exactly the cycle where a pause at the cutoff lands (both
-    // are taken at the top of the first iteration at or past it), having
-    // issued exactly the straight run's instructions before that cycle.
-    let reg = full_registry();
-    for name in reg.names() {
-        let straight = straight_run(&reg, name);
-        let makespan = straight.trace.makespan().unwrap_or(0);
-        let cutoff = makespan / 2;
-        let (snap, _) = run_paused(&reg, name, |gpu| PausingSession::snapshotting(gpu, cutoff));
-        let (_, pause_cycle, _) =
-            snap.unwrap_or_else(|| panic!("{name}: no pause at cycle {cutoff}"));
-
-        let mut gpu = Gpu::new(GpuConfig::default());
-        gpu.set_issue_log(true);
-        gpu.set_fault_hook(Box::new(Inert));
-        gpu.set_inert_cutoff(Some(cutoff));
-        let workload = reg
-            .build(name, Scale::Campaign)
-            .unwrap_or_else(|| panic!("workload '{name}' not in registry"));
-        let err = workload
-            .run(&mut SoloSession::new(&mut gpu))
-            .expect_err("the cutoff precedes the makespan");
-        let SessionError::Sim(SimError::InertFault { cycle }) = err else {
-            panic!("{name}: expected an inert exit, got {err:?}");
-        };
-        assert!(
-            (cutoff..=makespan).contains(&cycle),
-            "{name}: exit at {cycle} outside [{cutoff}, {makespan}]"
-        );
-        assert_eq!(
-            cycle, pause_cycle,
-            "{name}: the cutoff fired at a different cycle than a pause lands"
-        );
-        let prefix: Vec<IssueRecord> = straight
-            .issues
-            .iter()
-            .copied()
-            .filter(|r| r.cycle < cycle)
-            .collect();
-        assert_logs_identical(name, &prefix, &gpu.drain_issue_log());
     }
 }
 
